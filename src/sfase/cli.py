@@ -13,8 +13,7 @@ from pathlib import Path
 
 from .fitting import FitError
 from .io import load_manifest_plan
-from .params import (ParameterError, load_scenario, scenario_from_dict,
-                     scenario_to_dict, validation_warnings)
+from .params import ParameterError, scenario_from_dict, validation_warnings
 from .plans import ExperimentPlan, oracle_report, run_plan
 from .solver import GridError, SolverError, make_grid
 
@@ -24,6 +23,13 @@ EXIT_RUNTIME = 3
 
 PRESETS = ("fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7", "fig10")
 NE_PRESETS = {"desk": 100, "paper": 1000}
+# sweep --kind -> axes: (Scenario.replace field, grid option, factor to
+# internal units)
+SWEEP_AXES = {
+    "Ln": (("L", "l_grid", 1.0), ("n", "n_grid", 1.0)),
+    "rNp": (("r", "r_grid", 1.0e-3), ("n_p", "np_grid", 1.0)),
+    "L": (("L", "l_grid", 1.0),),
+}
 
 
 def _scenario_dict(ref: str) -> dict:
@@ -130,35 +136,37 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _plan_from_args(args, kind: str) -> ExperimentPlan:
+def _plan_from_args(args, kind: str, **fields) -> ExperimentPlan:
     if args.from_manifest:
         return ExperimentPlan.from_dict(load_manifest_plan(args.from_manifest))
     if not args.scenario or not args.out:
         raise ParameterError("--scenario and --out are required "
                              "(or use --from-manifest)")
-    plan = ExperimentPlan(
+    return ExperimentPlan(
         kind=kind, scenario=_scenario_dict(args.scenario), out_dir=args.out,
         master_seed=args.seed, workers=args.workers,
         n_realizations=_parse_ne(args.ne), grid_nz=args.grid_nz,
-        t_end_ps=args.t_end, snapshot_stride=args.snapshots)
-    return plan
+        t_end_ps=args.t_end, snapshot_stride=args.snapshots, **fields)
 
 
 def _cmd_sweep(args) -> int:
     if args.from_manifest:
-        plan = ExperimentPlan.from_dict(load_manifest_plan(args.from_manifest))
+        plan = _plan_from_args(args, "sweep")
+    elif not args.kind:
+        raise ParameterError("--kind is required (or use --from-manifest)")
+    elif args.kind == "Tp":
+        plan = _plan_from_args(args, "sweep_Tp", tp_grid_fs=args.tp_grid,
+                               q_grid=args.q_grid)
     else:
-        if not args.kind:
-            raise ParameterError("--kind is required (or use --from-manifest)")
-        plan = _plan_from_args(args, f"sweep_{args.kind}")
-        plan.l_grid_mm = args.l_grid
-        plan.n_grid_per_mm3 = args.n_grid
-        plan.r_grid_um = args.r_grid
-        plan.np_grid = args.np_grid
-        plan.tp_grid_fs = args.tp_grid
-        plan.q_grid = args.q_grid
-        plan.fixed_alpha = args.fixed_alpha
-        plan.__post_init__()
+        axes = {}
+        for name, option, unit in SWEEP_AXES[args.kind]:
+            grid = getattr(args, option)
+            if grid is None:
+                raise ParameterError(f"--kind {args.kind} needs "
+                                     f"--{option.replace('_', '-')}")
+            axes[name] = [v * unit for v in grid]
+        plan = _plan_from_args(args, "sweep", axes=axes,
+                               fixed_alpha=args.fixed_alpha)
     out = run_plan(plan)
     print(f"sweep artifacts in {out}")
     return EXIT_OK

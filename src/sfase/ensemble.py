@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,10 +178,6 @@ def _reduce_one(spec: EnsembleSpec, index: int):
             rec.max_trace_error)
 
 
-def _reduce_one_star(args):
-    return _reduce_one(*args)
-
-
 def _bootstrap_ci(values: np.ndarray, seed: int, stat=np.mean,
                   n_resamples: int = BOOTSTRAP_RESAMPLES) -> tuple[float, float]:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -226,27 +222,26 @@ def run_ensemble(spec: EnsembleSpec
     Failed realizations are excluded; the whole ensemble fails if more than
     1% of them fail.
     """
-    tasks = [(spec, i) for i in range(spec.n_realizations)]
     results: dict[int, tuple] = {}
     failures: dict[int, str] = {}
 
     if spec.workers > 1 and spec.n_realizations > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = {pool.submit(_reduce_one_star, task): task[1]
-                       for task in tasks}
-            for fut, index in futures.items():
+            futures = {i: pool.submit(_reduce_one, spec, i)
+                       for i in range(spec.n_realizations)}
+            for index, fut in futures.items():
                 try:
                     out = fut.result()
                     results[out[0]] = out
                 except SolverError as err:
                     failures[index] = str(err)
     else:
-        for task in tasks:
+        for index in range(spec.n_realizations):
             try:
-                out = _reduce_one_star(task)
+                out = _reduce_one(spec, index)
                 results[out[0]] = out
             except SolverError as err:
-                failures[task[1]] = str(err)
+                failures[index] = str(err)
 
     n_failed = len(failures)
     if n_failed > max(0.01 * spec.n_realizations, 0):

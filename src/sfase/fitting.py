@@ -1,9 +1,9 @@
 """Nonlinear least-squares fits of the regime and pump model families.
 
-The minimizer is a small Levenberg-Marquardt loop (damped Gauss-Newton with
-a multiplicative trust parameter).  Accepted iterations never increase the
-residual; convergence is declared when the relative residual change drops
-below 1e-10 or after 500 iterations.
+The minimizer is MINPACK's Levenberg-Marquardt (scipy's least_squares with
+method="lm", forward-difference Jacobian).  Its accepted steps never increase
+the residual.  The ftol, xtol and gtol tolerances are all TOL: scipy's
+default 1e-8 stops the pump-decay fits about 1e-6 short of the minimum.
 """
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import least_squares
 
-MAX_ITER = 500
-RTOL = 1.0e-10
+TOL = 1.0e-15
 
 
 class FitError(ValueError):
@@ -129,19 +129,8 @@ class FitResult:
     residual: float                 # sum of squared residuals
     std_errors: np.ndarray
     converged: bool
-    n_iterations: int
+    n_iterations: int               # MINPACK function evaluations
     message: str = ""
-    rss_history: list[float] | None = None
-
-
-def _jacobian(func, coeffs, x, f0):
-    jac = np.empty((len(x), len(coeffs)))
-    for j in range(len(coeffs)):
-        h = 1.0e-7 * max(abs(coeffs[j]), 1.0e-8)
-        cp = coeffs.copy()
-        cp[j] += h
-        jac[:, j] = (func(cp, x) - f0) / h
-    return jac
 
 
 def fit(family: str | ModelFamily, x, y, initial_guess=None,
@@ -186,62 +175,21 @@ def fit(family: str | ModelFamily, x, y, initial_guess=None,
     def residuals(c):
         return weights * (model.func(c, x) - y)
 
-    r = residuals(coeffs)
-    rss = float(r @ r)
-    lam = 1.0e-3
-    converged = False
-    message = "max iterations reached"
-    history = [rss]
-    n_iter = 0
-    for n_iter in range(1, MAX_ITER + 1):
-        f0 = model.func(coeffs, x)
-        jac = weights[:, None] * _jacobian(model.func, coeffs, x, f0)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        accepted = False
-        for _ in range(50):
-            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1.0e-30))
-            try:
-                delta = np.linalg.solve(damped, -jtr)
-            except np.linalg.LinAlgError:
-                message = "singular Jacobian"
-                break
-            if not np.isfinite(delta).all():
-                message = "singular Jacobian"
-                break
-            trial = coeffs + delta
-            r_trial = residuals(trial)
-            rss_trial = float(r_trial @ r_trial)
-            if np.isfinite(rss_trial) and rss_trial <= rss:
-                accepted = True
-                break
-            lam *= 5.0
-        if not accepted:
-            break
-        coeffs, r = trial, r_trial
-        change = rss - rss_trial
-        rss = rss_trial
-        history.append(rss)
-        lam = max(lam / 3.0, 1.0e-12)
-        if change <= RTOL * max(rss, 1.0e-300):
-            converged = True
-            message = "converged"
-            break
-
+    # x_scale="jac" is MINPACK's own scaling; spelled out because scipy
+    # before 1.16 defaulted to unscaled steps
+    res = least_squares(residuals, coeffs, method="lm", x_scale="jac",
+                        ftol=TOL, xtol=TOL, gtol=TOL)
+    rss = float(res.fun @ res.fun)
     dof = len(x) - model.n_params
     std = np.full(model.n_params, np.nan)
-    if dof > 0:
-        f0 = model.func(coeffs, x)
-        jac = weights[:, None] * _jacobian(model.func, coeffs, x, f0)
-        try:
-            cov = np.linalg.inv(jac.T @ jac) * (rss / dof)
-            std = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        except np.linalg.LinAlgError:
-            pass
-    return FitResult(family=model.name, coefficients=coeffs, residual=rss,
-                     std_errors=std, converged=converged,
-                     n_iterations=n_iter, message=message,
-                     rss_history=history)
+    try:
+        cov = np.linalg.inv(res.jac.T @ res.jac) * (rss / dof)
+        std = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    except np.linalg.LinAlgError:
+        pass
+    return FitResult(family=model.name, coefficients=res.x, residual=rss,
+                     std_errors=std, converged=bool(res.success),
+                     n_iterations=int(res.nfev), message=res.message)
 
 
 @dataclass

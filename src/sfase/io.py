@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +24,8 @@ def write_csv(path: str | Path, header: list[str], columns: list) -> None:
                              for v in row])
 
 
-def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def write_json(path: str | Path, payload: dict, sort_keys: bool = True) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n")
 
 
 def write_run_record(rec: RunRecord, path: str | Path) -> None:
@@ -112,8 +111,9 @@ def write_ensemble_outputs(summary: EnsembleSummary,
 
 
 def write_manifest(plan_dict: dict, out_dir: str | Path) -> None:
+    # unsorted: the order of plan["axes"] is the order of the sweep points
     write_json(Path(out_dir) / "manifest.json",
-               {"sfase_version": __version__, "plan": plan_dict})
+               {"sfase_version": __version__, "plan": plan_dict}, sort_keys=False)
 
 
 def load_manifest_plan(path: str | Path) -> dict:

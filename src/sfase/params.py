@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace as replace_fields
 from pathlib import Path
 
 # fixed constants, internal units
@@ -186,24 +186,21 @@ class Scenario:
     def replace(self, **kwargs) -> "Scenario":
         """New scenario with selected medium/pump/transition fields changed.
 
-        Keys use the flat names of the scenario schema, in internal units
+        Keys are the REPLACEABLE field names, in internal units
         (e.g. n, L, r, n_p, tau_p, tau_i, gamma).
         """
-        tr = {f: getattr(self.transition, f)
-              for f in ("omega", "lam", "d", "gamma", "sigma_r")}
-        me = {f: getattr(self.medium, f) for f in ("n", "L", "sigma", "r")}
-        pu = {f: getattr(self.pump, f) for f in ("n_p", "tau_p", "tau_i")}
-        for key, val in kwargs.items():
-            if key in tr:
-                tr[key] = val
-            elif key in me:
-                me[key] = val
-            elif key in pu:
-                pu[key] = val
-            else:
+        for key in kwargs:
+            if key not in REPLACEABLE:
                 raise ParameterError(f"unknown scenario field {key!r}")
-        return Scenario(self.constants, TransitionParams(**tr),
-                        MediumParams(**me), PumpParams(**pu))
+        return Scenario(self.constants, *(
+            replace_fields(part, **{k: v for k, v in kwargs.items()
+                                    if k in part.__dataclass_fields__})
+            for part in (self.transition, self.medium, self.pump)))
+
+
+# the flat field names Scenario.replace accepts
+REPLACEABLE = tuple(name for cls in (TransitionParams, MediumParams, PumpParams)
+                    for name in cls.__dataclass_fields__)
 
 
 # ---------------------------------------------------------------------------

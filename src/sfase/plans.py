@@ -7,21 +7,31 @@ reproduces the outputs bitwise.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, asdict
+import itertools
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import io, oracle
 from .ensemble import EnsembleSpec, run_ensemble
-from .fitting import fit, classify_regime
-from .params import (Scenario, ParameterError, scenario_from_dict,
-                     scenario_to_dict, validation_warnings)
+from .fitting import fit
+from .params import (REPLACEABLE, Scenario, ParameterError,
+                     scenario_from_dict, validation_warnings)
 from .solver import GridSpec, NoiseSpec, SolverError, make_grid, run
 
-KINDS = ("single", "ensemble", "sweep_Ln", "sweep_rNp", "sweep_L",
-         "sweep_Tp", "oracle", "fit")
+KINDS = ("single", "ensemble", "sweep", "sweep_Tp", "oracle", "fit")
+# plan fields a kind cannot run without
+REQUIRED = {"sweep": ("axes",), "sweep_Tp": ("tp_grid_fs",),
+            "fit": ("fit_family", "fit_data")}
+
+
+def _check_grid(name: str, grid) -> None:
+    if (not isinstance(grid, (list, tuple)) or len(grid) == 0
+            or not all(isinstance(v, (int, float)) for v in grid)
+            or np.any(np.diff(grid) <= 0)):
+        raise ParameterError(
+            f"plan.{name} must be a non-empty, strictly increasing list of numbers")
 
 
 @dataclass
@@ -35,14 +45,13 @@ class ExperimentPlan:
     grid_nz: int | None = None
     t_end_ps: float | None = None
     snapshot_stride: int = 0
-    # sweep axes (each strictly increasing)
-    l_grid_mm: list[float] | None = None
-    n_grid_per_mm3: list[float] | None = None
-    r_grid_um: list[float] | None = None
-    np_grid: list[float] | None = None
+    # sweep: Scenario.replace field name (internal units) -> strictly
+    # increasing values; the points are the product of the axes in key order
+    axes: dict[str, list[float]] | None = None
+    fixed_alpha: float | None = None    # sweep: derive n from alpha at each L
+    # sweep_Tp grids (each strictly increasing)
     tp_grid_fs: list[float] | None = None
     q_grid: list[float] | None = None
-    fixed_alpha: float | None = None    # sweep_L: derive n from alpha at each L
     # fit inputs
     fit_family: str | None = None
     fit_data: str | None = None
@@ -52,13 +61,21 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown plan kind {self.kind!r}")
-        for name in ("l_grid_mm", "n_grid_per_mm3", "r_grid_um", "np_grid",
-                     "tp_grid_fs", "q_grid"):
-            grid = getattr(self, name)
-            if grid is not None:
-                if len(grid) == 0 or np.any(np.diff(grid) <= 0):
-                    raise ParameterError(
-                        f"plan.{name} must be non-empty and strictly increasing")
+        missing = [f for f in REQUIRED.get(self.kind, ()) if not getattr(self, f)]
+        if missing:
+            raise ParameterError(f"{self.kind} plan needs {' and '.join(missing)}")
+        axes = self.axes or {}
+        if not isinstance(axes, dict):
+            raise ParameterError("plan.axes must map scenario fields to values")
+        for name, grid in axes.items():
+            if name not in REPLACEABLE:
+                raise ParameterError(f"plan.axes: unknown scenario field {name!r}")
+            _check_grid(f"axes[{name!r}]", grid)
+        for name in ("tp_grid_fs", "q_grid"):
+            if getattr(self, name) is not None:
+                _check_grid(name, getattr(self, name))
+        if self.fixed_alpha is not None and "n" in axes:
+            raise ParameterError("fixed_alpha derives n; drop the n axis")
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -174,37 +191,19 @@ def run_plan(plan: ExperimentPlan) -> Path:
         summary, scalars = run_ensemble(spec)
         io.write_ensemble_outputs(summary, scalars, out)
 
-    elif plan.kind == "sweep_Ln":
-        if not (plan.l_grid_mm and plan.n_grid_per_mm3):
-            raise ParameterError("sweep_Ln needs l_grid_mm and n_grid_per_mm3")
-        points = [{"L": L, "n": n}
-                  for L in plan.l_grid_mm for n in plan.n_grid_per_mm3]
-        _run_sweep(plan, out, points)
-
-    elif plan.kind == "sweep_rNp":
-        if not (plan.r_grid_um and plan.np_grid):
-            raise ParameterError("sweep_rNp needs r_grid_um and np_grid")
-        points = [{"r": r * 1.0e-3, "n_p": n_p}
-                  for r in plan.r_grid_um for n_p in plan.np_grid]
-        _run_sweep(plan, out, points)
-
-    elif plan.kind == "sweep_L":
-        if not plan.l_grid_mm:
-            raise ParameterError("sweep_L needs l_grid_mm")
-        base = scenario_from_dict(plan.scenario)
-        points = []
-        for L in plan.l_grid_mm:
-            p: dict = {"L": L}
-            if plan.fixed_alpha is not None:
-                p["n"] = plan.fixed_alpha / (base.transition.sigma_r * L)
-            points.append(p)
+    elif plan.kind == "sweep":
+        points = [dict(zip(plan.axes, values))
+                  for values in itertools.product(*plan.axes.values())]
+        if plan.fixed_alpha is not None:
+            base = scenario_from_dict(plan.scenario)
+            for p in points:
+                p["n"] = plan.fixed_alpha / (base.transition.sigma_r
+                                             * p.get("L", base.medium.L))
         _run_sweep(plan, out, points)
 
     elif plan.kind == "sweep_Tp":
         # pump-structure study: max inversion at z=0 from the analytic
         # quadrature, scanning pump duration at fixed peak flux per Q
-        if not plan.tp_grid_fs:
-            raise ParameterError("sweep_Tp needs tp_grid_fs")
         qs = plan.q_grid or [1.0]
         base = scenario_from_dict(plan.scenario)
         rows = {"tau_p_fs": list(plan.tp_grid_fs)}
@@ -219,8 +218,6 @@ def run_plan(plan: ExperimentPlan) -> Path:
                      [rows[k] for k in rows])
 
     elif plan.kind == "fit":
-        if not (plan.fit_family and plan.fit_data):
-            raise ParameterError("fit plan needs fit_family and fit_data")
         x, y = io.read_xy_csv(plan.fit_data, plan.fit_x_col, plan.fit_y_col)
         result = fit(plan.fit_family, x, y)
         io.write_json(out / "fit.json", {

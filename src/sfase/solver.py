@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -121,16 +121,6 @@ def noise_variance(rho22: np.ndarray | float, scen: Scenario) -> np.ndarray | fl
     with variance K*dt/2 each.
     """
     return scen.derived.noise_prefactor * np.maximum(rho22, 0.0)
-
-
-def sample_noise(rho22, scen: Scenario, grid: GridSpec, noise: NoiseSpec,
-                 istep: int) -> tuple[np.ndarray, np.ndarray]:
-    """Complex noise increments (dW+, dW-) for rho21 over one step."""
-    nn = np.size(rho22)
-    z = noise_normals(noise, istep, nn)
-    amp = np.sqrt(0.5 * noise_variance(np.asarray(rho22, dtype=float), scen)
-                  * grid.dt)
-    return amp * (z[0] + 1j * z[1]), amp * (z[2] + 1j * z[3])
 
 
 def pump_boundary(t, pump: PumpParams, medium: MediumParams):

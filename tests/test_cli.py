@@ -110,6 +110,60 @@ def test_sweep_length_fixed_alpha(tmp_path, toy_file):
     assert (out / "point_000").is_dir()
 
 
+def test_sweep_length_density_product(tmp_path, toy_file):
+    out = tmp_path / "ln"
+    assert main(["sweep", "--kind", "Ln", "--scenario", toy_file,
+                 "--out", str(out), "--ne", "2", "--l-grid", "0.02,0.03",
+                 "--n-grid", "2e15,2.5e15"]) == EXIT_OK
+    # the L axis is outer, the n axis inner
+    length, n = io.read_xy_csv(out / "map.csv", "L", "n")
+    assert list(length) == [0.02, 0.02, 0.03, 0.03]
+    assert list(n) == [2e15, 2.5e15, 2e15, 2.5e15]
+    assert (out / "point_003").is_dir()
+
+
+def test_sweep_radius_photons_in_mm_and_manifest_replay(tmp_path, toy_file):
+    out = tmp_path / "rnp"
+    assert main(["sweep", "--kind", "rNp", "--scenario", toy_file,
+                 "--out", str(out), "--ne", "2", "--r-grid", "1.5,2",
+                 "--np-grid", "20e12,30e12"]) == EXIT_OK
+    r, n_p = io.read_xy_csv(out / "map.csv", "r", "n_p")
+    assert list(r) == [1.5e-3, 1.5e-3, 2e-3, 2e-3]
+    assert list(n_p) == [20e12, 30e12, 20e12, 30e12]
+
+    # the replay keeps the axis order (r before n_p) and so the row order
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["plan"]["out_dir"] = str(tmp_path / "replay")
+    replay = tmp_path / "manifest2.json"
+    replay.write_text(json.dumps(manifest))
+    assert main(["sweep", "--from-manifest", str(replay)]) == EXIT_OK
+    assert ((tmp_path / "replay" / "map.csv").read_bytes()
+            == (out / "map.csv").read_bytes())
+
+
+def test_sweep_missing_grid_writes_nothing(tmp_path, toy_file):
+    out = tmp_path / "ln"
+    assert main(["sweep", "--kind", "Ln", "--scenario", toy_file,
+                 "--out", str(out), "--l-grid", "0.02,0.03"]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axes", [
+    {"L": [0.02], "length": [0.03]},        # not a Scenario.replace field
+    {"L": ["0.02", "0.03"]},                # not numbers
+    {"L": [0.03, 0.02]},                    # not increasing
+    [["L", [0.02]]],                        # not a mapping
+], ids=["unknown", "strings", "decreasing", "list"])
+def test_sweep_bad_axes_are_config_errors(tmp_path, toy_dict, axes):
+    out = tmp_path / "bogus"
+    plan = {"kind": "sweep", "scenario": toy_dict, "out_dir": str(out),
+            "n_realizations": 2, "axes": axes}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"plan": plan}))
+    assert main(["sweep", "--from-manifest", str(manifest)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_sweep_requires_kind(tmp_path, toy_file):
     assert main(["sweep", "--scenario", toy_file,
                  "--out", str(tmp_path / "s")]) == EXIT_CONFIG

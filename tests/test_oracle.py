@@ -7,8 +7,6 @@ from scipy.integrate import solve_ivp
 
 from sfase import oracle
 from sfase.oracle import (
-    GainEstimate,
-    OracleError,
     ValidityWarning,
     gain_estimate,
     gain_window,

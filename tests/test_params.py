@@ -7,7 +7,6 @@ import pytest
 from sfase import params
 from sfase.params import (
     C_MM_PER_PS,
-    CONSTANTS,
     MediumParams,
     ParameterError,
     PumpParams,

@@ -5,12 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from sfase import oracle
 from sfase.params import ParameterError
 from sfase.solver import (
     DECAY_RESOLUTION,
     GridError,
-    GridSpec,
     NoiseSpec,
     default_t_end,
     initialize,
