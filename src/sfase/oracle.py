@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf
 
-from .params import Scenario, CONSTANTS, PhysicalConstants
+from .params import Scenario, CONSTANTS, PhysicalConstants, depletion_scale
 
 LN2 = math.log(2.0)
 
@@ -30,11 +30,6 @@ class ValidityWarning(UserWarning):
 def _pump_peak(scen: Scenario) -> float:
     p, m = scen.pump, scen.medium
     return p.n_p / (math.pi**1.5 * m.r**2 * p.tau_p)
-
-
-def _depletion_scale(scen: Scenario) -> float:
-    """q = n_p sigma / (2 pi r^2): half the asymptotic depletion exponent."""
-    return scen.pump.n_p * scen.medium.sigma / (2.0 * math.pi * scen.medium.r**2)
 
 
 def jp_analytic(t, z, scen: Scenario):
@@ -53,44 +48,63 @@ def rho00_analytic(t, z, scen: Scenario):
     """Ground-state population under the attenuation-free pump (erf form)."""
     t = np.asarray(t, dtype=float)
     arg = (t - scen.pump.tau_i - z / scen.constants.c) / scen.pump.tau_p
-    return np.exp(-_depletion_scale(scen) * (1.0 + erf(arg)))
+    return np.exp(-depletion_scale(scen) * (1.0 + erf(arg)))
 
 
 def rho22_quadrature(t, scen: Scenario, tol: float = 1.0e-8):
     """Excited-state population at z=0 from the exact linear-ODE integral.
 
-    rho22(t) = integral_0^t sigma*J_p(s)*rho00(s) * exp(-Gamma(t-s)) ds,
-    evaluated by adaptive quadrature to absolute tolerance `tol` in rho22.
-    The exponent is assembled inside the integrand so it stays bounded even
-    when the depletion scale is large.
+    rho22(t) = integral_0^t sigma*J_p(s)*rho00(s) * exp(-Gamma(t-s)) ds, and
+    rho22 = 0 for t <= 0.  The times are visited in ascending order and each
+    step adds one adaptive quadrature over the interval since the previous
+    time t' to the decayed previous value (exact for the linear ODE):
+
+        rho22(t) = rho22(t') exp(-Gamma(t-t'))
+                   + integral_t'^t sigma*J_p*rho00 * exp(-Gamma(t-s)) ds.
+
+    The quadrature error estimates accumulate through the same recurrence;
+    OracleError is raised once the accumulated estimate exceeds 10*tol.  The
+    exponent is assembled inside the integrand so it stays bounded even when
+    the depletion scale is large.  Accepts a scalar (returns a float) or an
+    array of times in any order (returns an array of the same shape).
     """
     gamma = scen.transition.gamma
     tau_p, tau_i = scen.pump.tau_p, scen.pump.tau_i
-    q = _depletion_scale(scen)
+    q = depletion_scale(scen)
     amp = scen.medium.sigma * _pump_peak(scen)
 
-    def value(ti: float) -> float:
-        if ti <= 0.0:
-            return 0.0
-
+    def interval(t0: float, t1: float) -> tuple[float, float]:
         def integrand(s):
             x = (s - tau_i) / tau_p
-            return math.exp(gamma * (s - ti) - q * (1.0 + erf(x)) - x * x)
+            return math.exp(gamma * (s - t1) - q * (1.0 + erf(x)) - x * x)
 
         # integrand is a single pulse centered near tau_i; pass it as a point
         pts = [p for p in (tau_i - 3 * tau_p, tau_i, tau_i + 3 * tau_p)
-               if 0.0 < p < ti]
-        val, err = quad(integrand, 0.0, ti, points=pts or None,
-                        epsabs=tol / max(amp, 1.0), epsrel=1.0e-10, limit=200)
-        if err * amp > 10.0 * tol:
+               if t0 < p < t1]
+        return quad(integrand, t0, t1, points=pts or None,
+                    epsabs=tol / max(amp, 1.0), epsrel=1.0e-10, limit=200)
+
+    times = np.asarray(t, dtype=float)
+    flat = times.ravel()
+    out = np.zeros_like(flat)
+    prev_t = r22 = err = 0.0
+    for k in np.argsort(flat, kind="stable"):
+        ti = float(flat[k])
+        if ti <= 0.0:
+            continue
+        val, val_err = interval(prev_t, ti)
+        decay = math.exp(-gamma * (ti - prev_t))
+        r22 = r22 * decay + amp * val
+        err = err * decay + amp * val_err
+        if err > 10.0 * tol:
             raise OracleError(
                 f"rho22 quadrature at t={ti:g} ps: estimated error "
-                f"{err * amp:.3g} exceeds tolerance {tol:g}")
-        return amp * val
-
+                f"{err:.3g} exceeds tolerance {tol:g}")
+        out[k] = r22
+        prev_t = ti
     if np.isscalar(t):
-        return value(float(t))
-    return np.array([value(float(ti)) for ti in np.asarray(t, dtype=float)])
+        return float(out[0])
+    return out.reshape(times.shape)
 
 
 def inversion_quadrature(t, scen: Scenario, tol: float = 1.0e-8):

@@ -203,19 +203,27 @@ def run_plan(plan: ExperimentPlan) -> Path:
 
     elif plan.kind == "sweep_Tp":
         # pump-structure study: max inversion at z=0 from the analytic
-        # quadrature, scanning pump duration at fixed peak flux per Q
+        # quadrature, scanning pump duration at fixed peak flux per Q; a T_p
+        # row that cannot be built or integrated becomes an error row
         qs = plan.q_grid or [1.0]
         base = scenario_from_dict(plan.scenario)
-        rows = {"tau_p_fs": list(plan.tp_grid_fs)}
-        for q in qs:
-            col = []
-            for tp_fs in plan.tp_grid_fs:
-                scen = base.replace(tau_p=tp_fs * 1.0e-3,
-                                    n_p=q * tp_fs * 1.0e12)
-                col.append(max_inversion(scen))
-            rows[f"max_inversion_q{q:g}"] = col
-        io.write_csv(out / "pump_study.csv", list(rows),
-                     [rows[k] for k in rows])
+        rows = []
+        for tp_fs in plan.tp_grid_fs:
+            try:
+                values = [max_inversion(base.replace(tau_p=tp_fs * 1.0e-3,
+                                                     n_p=q * tp_fs * 1.0e12))
+                          for q in qs]
+                error = ""
+            except (ParameterError, oracle.OracleError) as err:
+                values, error = [""] * len(qs), str(err)
+            rows.append([tp_fs, *values, error])
+        io.write_csv(out / "pump_study.csv",
+                     ["tau_p_fs", *(f"max_inversion_q{q:g}" for q in qs), "error"],
+                     list(zip(*rows)))
+        failed = sum(1 for row in rows if row[-1])
+        if failed:
+            raise SolverError(f"{failed}/{len(rows)} pump-study rows failed "
+                              f"(see error markers in pump_study.csv)")
 
     elif plan.kind == "fit":
         x, y = io.read_xy_csv(plan.fit_data, plan.fit_x_col, plan.fit_y_col)

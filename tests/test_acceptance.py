@@ -2,11 +2,15 @@
 
 Eight criteria, one test each, each printing a single
 ``criterion N: PASS/FAIL - detail`` line (visible with ``pytest -s``).
-The ensemble-heavy criteria (5, 6, 7) dominate the runtime (~10-15 min on
-one CPU); everything else runs in seconds.
+The ensemble-heavy criteria (5, 6, 7) dominate the runtime (about 5 min on
+two CPUs, their fixtures run realizations on a two-process pool); everything
+else runs in seconds.
 """
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,10 +32,26 @@ from sfase.solver import NoiseSpec, make_grid, noise_normals, run
 
 LN2 = math.log(2.0)
 HALF_PI = math.pi / 2.0
+# processes for the ensemble fixtures of criteria 5-7
+FIXTURE_WORKERS = min(2, os.cpu_count() or 1)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"\ncriterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
+
+
+def _realizations(scen, grid, master_seed: int, n: int) -> list:
+    """Records of realizations 0..n-1 of one seed, in index order.
+
+    Every realization is a pure function of its noise coordinates, so
+    spreading them over a small process pool gives the same records, bit
+    for bit, as a serial loop over `run`.
+    """
+    noises = [NoiseSpec(master_seed=master_seed, realization_index=k)
+              for k in range(n)]
+    job = partial(run, scen, grid, check_stride=100)
+    with ProcessPoolExecutor(max_workers=FIXTURE_WORKERS) as pool:
+        return list(pool.map(job, noises))
 
 
 def _all(checks: list[tuple[str, bool]]) -> tuple[bool, str]:
@@ -167,10 +187,7 @@ def alpha_scan(fig5):
         scen = fig5.replace(n=n)
         sum_i = np.zeros(len(grid.times))
         delays = []
-        for k in range(N_SCAN):
-            rec = run(scen, grid,
-                      NoiseSpec(master_seed=7, realization_index=k),
-                      check_stride=100)
+        for rec in _realizations(scen, grid, 7, N_SCAN):
             sum_i += np.abs(rec.omega_plus_out) ** 2
             d = delay_time(rec)
             delays.append(math.nan if d is None else d)
@@ -221,10 +238,7 @@ def asymmetry(fig5):
         grid = make_grid(scen)
         fwd_areas, bwd_areas, lobe_ratios = [], [], []
         sum_bwd = np.zeros(len(grid.times))
-        for k in range(n_real):
-            rec = run(scen, grid,
-                      NoiseSpec(master_seed=11, realization_index=k),
-                      check_stride=100)
+        for rec in _realizations(scen, grid, 11, n_real):
             fwd_areas.append(pulse_area(rec.omega_plus_out, grid.dt))
             bwd_areas.append(pulse_area(rec.omega_minus_out, grid.dt))
             i_bwd = np.abs(rec.omega_minus_out) ** 2
@@ -279,10 +293,7 @@ def length_points(fig5):
         grid = make_grid(scen)
         sum_s = None
         photons = []
-        for k in range(12):
-            rec = run(scen, grid,
-                      NoiseSpec(master_seed=5, realization_index=k),
-                      check_stride=100)
+        for rec in _realizations(scen, grid, 5, 12):
             w_axis, s = spectrum(rec.omega_plus_out, grid.dt)
             sum_s = s if sum_s is None else sum_s + s
             photons.append(oracle.photons_from_envelope(

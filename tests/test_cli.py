@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface and artifact files."""
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from sfase import io
-from sfase.cli import EXIT_CONFIG, EXIT_OK, main
+from sfase.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 
 @pytest.fixture()
@@ -183,6 +184,30 @@ def test_sweep_tp_quadrature(tmp_path):
     assert np.all(np.asarray(inv4) <= 1.0)
     # stronger pump at the same duration leaves more inversion
     assert np.all(np.asarray(inv4) >= np.asarray(inv1))
+
+
+def test_sweep_tp_bad_row_is_error_row(tmp_path):
+    # tau_p = 110 fs breaks fig4's tau_i >= 3 tau_p bound: that row becomes
+    # an error row, the 20 fs row is still computed, and the run exits 3
+    out, clean = tmp_path / "tp", tmp_path / "clean"
+    assert main(["sweep", "--kind", "Tp", "--scenario", "fig4",
+                 "--out", str(out), "--tp-grid", "20,110",
+                 "--q-grid", "1"]) == EXIT_RUNTIME
+    assert main(["sweep", "--kind", "Tp", "--scenario", "fig4",
+                 "--out", str(clean), "--tp-grid", "20",
+                 "--q-grid", "1"]) == EXIT_OK
+    with open(out / "pump_study.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(clean / "pump_study.csv", newline="") as fh:
+        (clean_row,) = list(csv.DictReader(fh))
+    assert [r["tau_p_fs"] for r in rows] == ["20.0", "110.0"]
+    assert rows[0] == clean_row
+    assert rows[1]["max_inversion_q1"] == ""
+    assert "tau_i" in rows[1]["error"]
+    # the fit reads the good rows only
+    tp, inv = io.read_xy_csv(out / "pump_study.csv", "tau_p_fs",
+                             "max_inversion_q1")
+    assert list(tp) == [20.0]
 
 
 def test_fit_command(tmp_path):

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
+from scipy.special import erf
 
 from sfase import oracle
 from sfase.oracle import (
@@ -89,9 +90,72 @@ def test_rho22_quadrature_matches_ode(toy):
     assert np.max(np.abs(r22_quad - r22_ode)) < 1.0e-6
 
 
+def _rho22_direct(t, scen):
+    """One adaptive quadrature from 0 to t (the recurrence's reference)."""
+    gamma, tau_p, tau_i = scen.transition.gamma, scen.pump.tau_p, scen.pump.tau_i
+    sigma, r = scen.medium.sigma, scen.medium.r
+    peak = scen.pump.n_p / (math.pi**1.5 * r**2 * tau_p)
+    q = scen.pump.n_p * sigma / (2.0 * math.pi * r**2)
+
+    def integrand(s):
+        x = (s - tau_i) / tau_p
+        return (sigma * peak * math.exp(-x * x) * math.exp(-q * (1.0 + erf(x)))
+                * math.exp(-gamma * (t - s)))
+
+    pts = [p for p in (tau_i - 3 * tau_p, tau_i, tau_i + 3 * tau_p) if 0 < p < t]
+    val, _ = quad(integrand, 0.0, t, points=pts or None, epsabs=1e-13,
+                  epsrel=1e-12, limit=500)
+    return val
+
+
+def _fig4_q256_90fs(fig4):
+    return fig4.replace(tau_p=0.09, n_p=256.0 * 90.0e12)
+
+
+@pytest.mark.parametrize("name, times", [
+    ("toy", [0.1, 0.9, 1.5, 2.2, 4.0]),
+    ("fig4", [0.01, 0.02, 0.035, 0.05, 0.1, 0.3]),
+])
+def test_rho22_recurrence_matches_direct_quadrature(name, times, toy, fig4):
+    scen = toy if name == "toy" else _fig4_q256_90fs(fig4)
+    got = rho22_quadrature(np.array(times), scen)
+    want = [_rho22_direct(t, scen) for t in times]
+    assert np.max(np.abs(got - want)) < 1.0e-10
+
+
+def test_rho22_order_independent(fig4):
+    scen = _fig4_q256_90fs(fig4)
+    t = np.linspace(0.0, 1.0, 40)
+    perm = np.random.default_rng(7).permutation(t.size)
+    np.testing.assert_array_equal(rho22_quadrature(t[perm], scen),
+                                  rho22_quadrature(t, scen)[perm])
+
+
+def test_rho22_scalar_returns_float(toy):
+    assert type(rho22_quadrature(1.0, toy)) is float
+    assert rho22_quadrature(1.0, toy) == rho22_quadrature(np.array([1.0]), toy)[0]
+
+
 def test_rho22_zero_before_start(toy):
     assert rho22_quadrature(0.0, toy) == 0.0
     assert rho22_quadrature(-1.0, toy) == 0.0
+    vals = rho22_quadrature(np.array([-1.0, 0.0, 1.0]), toy)
+    assert vals[0] == 0.0 and vals[1] == 0.0 and vals[2] > 0.0
+
+
+def test_rho22_one_quad_per_positive_time(fig4, monkeypatch):
+    # the benchmark's traced check counts exactly these calls
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "quad", counted)
+    t = np.linspace(-0.1, 1.0, 57)
+    rho22_quadrature(t, _fig4_q256_90fs(fig4))
+    assert calls == np.count_nonzero(t > 0.0)
 
 
 def test_inversion_quadrature_bounds(fig3a):

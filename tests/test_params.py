@@ -126,6 +126,13 @@ def test_tau_i_must_cover_pump_rise():
         PumpParams(n_p=1e12, tau_p=0.1, tau_i=0.2)
 
 
+def test_tau_i_bound_tolerates_rounding(fig4):
+    # fig4 has tau_i = 0.3 ps, and 3 * 0.1 rounds to 0.30000000000000004
+    assert fig4.replace(tau_p=0.1, n_p=1.0e14).pump.tau_p == 0.1
+    with pytest.raises(ParameterError):
+        fig4.replace(tau_p=0.1001, n_p=1.0e14)
+
+
 def test_negative_density_rejected():
     with pytest.raises(ParameterError):
         MediumParams(n=-1.0, L=1.0, sigma=1e-17, r=0.002)
@@ -193,6 +200,15 @@ def test_validation_warnings_flag_sigma_r_mismatch(fig5):
     assert validation_warnings(matched) == []
 
 
+@pytest.mark.parametrize("tp_fs, warns", [(75.0, False), (80.0, True),
+                                           (90.0, True)])
+def test_validation_warnings_flag_pump_before_start(fig4, tp_fs, warns):
+    # fig4 at Q = 256: the ground-state share pumped before t = 0 is
+    # 3.9e-4 at 75 fs, 3.1e-3 at 80 fs and 7.2e-2 at 90 fs
+    scen = fig4.replace(tau_p=tp_fs * 1.0e-3, n_p=256.0 * tp_fs * 1.0e12)
+    assert any("before t = 0" in w for w in validation_warnings(scen)) == warns
+
+
 def test_fresnel_number_reference(fig5):
     # pi r^2 / (L lambda) with r = 2 um, L = 0.5 mm, lambda = 1.46 nm
     expected = math.pi * 0.002**2 / (0.5 * 1.46e-6)
@@ -209,3 +225,4 @@ def test_all_presets_load():
         scen = scenario_from_dict(load_preset(name))
         assert isinstance(scen, Scenario)
         assert scen.derived.alpha > 0
+        assert not any("before t = 0" in w for w in validation_warnings(scen))

@@ -70,6 +70,18 @@ def test_noise_normals_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+def test_noise_normals_match_fresh_philox_stream():
+    # the reused generator must draw exactly what a generator built at the
+    # step's counter draws, whatever was drawn before
+    coords = [(42, 7, 13), (42, 7, 14), (5, 0, 13), (42, 8, 0), (42, 7, 13)]
+    for seed, index, istep in coords:
+        got = noise_normals(NoiseSpec(master_seed=seed, realization_index=index),
+                            istep=istep, n_nodes=50)
+        fresh = np.random.Generator(np.random.Philox(
+            key=seed, counter=[0, 0, index, istep])).standard_normal((4, 50))
+        np.testing.assert_array_equal(got, fresh)
+
+
 def test_noise_normals_decorrelated_across_keys():
     base = NoiseSpec(master_seed=42, realization_index=7)
     a = noise_normals(base, istep=13, n_nodes=50)
