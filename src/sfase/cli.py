@@ -55,8 +55,6 @@ def _add_common(sub, out_required=True):
                      help="realization count: integer or preset desk/paper")
     sub.add_argument("--grid-nz", type=int, default=None)
     sub.add_argument("--t-end", type=float, default=None, help="horizon (ps)")
-    sub.add_argument("--snapshots", type=int, default=0,
-                     help="inversion snapshot stride in steps (0 = off)")
 
 
 def _parse_ne(value: str) -> int:
@@ -86,6 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     single = subs.add_parser("run", help="one seeded realization")
     _add_common(single)
+    single.add_argument("--snapshots", type=int, default=0,
+                        help="inversion snapshot stride in steps (0 = off)")
 
     ens = subs.add_parser("ensemble", help="seeded ensemble with statistics")
     _add_common(ens)
@@ -146,7 +146,7 @@ def _plan_from_args(args, kind: str, **fields) -> ExperimentPlan:
         kind=kind, scenario=_scenario_dict(args.scenario), out_dir=args.out,
         master_seed=args.seed, workers=args.workers,
         n_realizations=_parse_ne(args.ne), grid_nz=args.grid_nz,
-        t_end_ps=args.t_end, snapshot_stride=args.snapshots, **fields)
+        t_end_ps=args.t_end, **fields)
 
 
 def _cmd_sweep(args) -> int:
@@ -180,7 +180,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(args)
         if args.command == "run":
-            out = run_plan(_plan_from_args(args, "single"))
+            out = run_plan(_plan_from_args(args, "single",
+                                           snapshot_stride=args.snapshots))
             print(f"run artifacts in {out}")
             return EXIT_OK
         if args.command == "ensemble":

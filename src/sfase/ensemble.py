@@ -244,7 +244,7 @@ def run_ensemble(spec: EnsembleSpec
                 failures[index] = str(err)
 
     n_failed = len(failures)
-    if n_failed > max(0.01 * spec.n_realizations, 0):
+    if n_failed > 0.01 * spec.n_realizations:
         raise SolverError(
             f"{n_failed}/{spec.n_realizations} realizations failed: "
             + "; ".join(list(failures.values())[:3]))

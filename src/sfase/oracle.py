@@ -114,6 +114,14 @@ def inversion_quadrature(t, scen: Scenario, tol: float = 1.0e-8):
     return 2.0 * r22 + r00 - 1.0
 
 
+def max_inversion(scen: Scenario, n_t: int = 400) -> float:
+    """Peak of I(t, 0) from the analytic quadrature, on a pump-resolved grid."""
+    t_hi = scen.pump.tau_i + 6.0 * scen.pump.tau_p + 3.0 * scen.transition.tau2
+    t_lo = max(scen.pump.tau_i - 4.0 * scen.pump.tau_p, 0.0)
+    ts = np.linspace(t_lo, t_hi, n_t)
+    return float(np.max(inversion_quadrature(ts, scen)))
+
+
 def u_factor(scen: Scenario) -> float:
     """Leading-edge shift factor: the pump consumes rho00 fastest at
     t = tau_i - u*tau_p (inflection of the depletion exponential)."""

@@ -16,9 +16,10 @@ import numpy as np
 from . import io, oracle
 from .ensemble import EnsembleSpec, run_ensemble
 from .fitting import fit
+from .oracle import max_inversion
 from .params import (REPLACEABLE, Scenario, ParameterError,
                      scenario_from_dict, validation_warnings)
-from .solver import GridSpec, NoiseSpec, SolverError, make_grid, run
+from .solver import NoiseSpec, SolverError, make_grid, run
 
 KINDS = ("single", "ensemble", "sweep", "sweep_Tp", "oracle", "fit")
 # plan fields a kind cannot run without
@@ -89,12 +90,6 @@ class ExperimentPlan:
         return cls(**raw)
 
 
-def _resolved(plan: ExperimentPlan) -> tuple[Scenario, GridSpec]:
-    scen = scenario_from_dict(plan.scenario)
-    grid = make_grid(scen, nz=plan.grid_nz, t_end=plan.t_end_ps)
-    return scen, grid
-
-
 def oracle_report(scen: Scenario) -> dict:
     """Derived analytics for a scenario, no simulation."""
     d = scen.derived
@@ -118,12 +113,12 @@ def oracle_report(scen: Scenario) -> dict:
     }
 
 
-def _ensemble_point(scen: Scenario, plan: ExperimentPlan, seed: int,
-                    out_dir: Path) -> dict:
+def _ensemble_point(scen: Scenario, plan: ExperimentPlan, out_dir: Path) -> dict:
+    """Run the plan's ensemble for one scenario into out_dir; its map row."""
     grid = make_grid(scen, nz=plan.grid_nz, t_end=plan.t_end_ps)
     spec = EnsembleSpec(scenario=scen, grid=grid,
                         n_realizations=plan.n_realizations,
-                        master_seed=seed, workers=plan.workers)
+                        master_seed=plan.master_seed, workers=plan.workers)
     summary, scalars = run_ensemble(spec)
     io.write_ensemble_outputs(summary, scalars, out_dir)
     return {
@@ -147,7 +142,7 @@ def _run_sweep(plan: ExperimentPlan, out: Path, points: list[dict]) -> None:
         row = dict(overrides)
         try:
             scen = base.replace(**overrides)
-            row.update(_ensemble_point(scen, plan, plan.master_seed, point_dir))
+            row.update(_ensemble_point(scen, plan, point_dir))
             row["error"] = ""
         except (ParameterError, SolverError) as err:
             row["error"] = str(err)
@@ -172,7 +167,8 @@ def run_plan(plan: ExperimentPlan) -> Path:
         io.write_json(out / "oracle.json", oracle_report(scen))
 
     elif plan.kind == "single":
-        scen, grid = _resolved(plan)
+        scen = scenario_from_dict(plan.scenario)
+        grid = make_grid(scen, nz=plan.grid_nz, t_end=plan.t_end_ps)
         noise = NoiseSpec(master_seed=plan.master_seed, realization_index=0)
         rec = run(scen, grid, noise, snapshot_stride=plan.snapshot_stride)
         io.write_run_record(rec, out / "run.csv")
@@ -184,12 +180,7 @@ def run_plan(plan: ExperimentPlan) -> Path:
                             for k in range(grid.n_nodes)])
 
     elif plan.kind == "ensemble":
-        scen, grid = _resolved(plan)
-        spec = EnsembleSpec(scenario=scen, grid=grid,
-                            n_realizations=plan.n_realizations,
-                            master_seed=plan.master_seed, workers=plan.workers)
-        summary, scalars = run_ensemble(spec)
-        io.write_ensemble_outputs(summary, scalars, out)
+        _ensemble_point(scenario_from_dict(plan.scenario), plan, out)
 
     elif plan.kind == "sweep":
         points = [dict(zip(plan.axes, values))
@@ -239,11 +230,3 @@ def run_plan(plan: ExperimentPlan) -> Path:
         })
 
     return out
-
-
-def max_inversion(scen: Scenario, n_t: int = 400) -> float:
-    """Peak of I(t, 0) from the analytic quadrature, on a pump-resolved grid."""
-    t_hi = scen.pump.tau_i + 6.0 * scen.pump.tau_p + 3.0 * scen.transition.tau2
-    t_lo = max(scen.pump.tau_i - 4.0 * scen.pump.tau_p, 0.0)
-    ts = np.linspace(t_lo, t_hi, n_t)
-    return float(np.max(oracle.inversion_quadrature(ts, scen)))

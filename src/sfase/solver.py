@@ -146,41 +146,46 @@ def pump_boundary(t, pump: PumpParams, medium: MediumParams):
 
 @dataclass
 class FieldState:
-    """Atomic density-matrix elements and field envelopes on the z nodes."""
+    """Atomic density-matrix elements and field envelopes on the z nodes.
 
-    rho00: np.ndarray        # float, population of |0>
-    rho11: np.ndarray        # float, population of |1>
-    rho22: np.ndarray        # float, population of |2>
-    rho21_plus: np.ndarray   # complex, forward coherence
-    rho21_minus: np.ndarray  # complex, backward coherence
-    omega_plus: np.ndarray   # complex, forward Rabi envelope (rad/ps)
-    omega_minus: np.ndarray  # complex, backward Rabi envelope (rad/ps)
-    jp: np.ndarray           # float, pump photon flux (photons/(ps mm^2))
+    The component axis comes first and the nodes last; rows of ``coh`` and
+    ``omega`` are the forward (+) and backward (-) directions.
+    """
+
+    pop: np.ndarray     # float (3, n_nodes): rho00, rho11, rho22
+    coh: np.ndarray     # complex (2, n_nodes): rho21 +, -
+    omega: np.ndarray   # complex (2, n_nodes): Rabi envelopes +, - (rad/ps)
+    jp: np.ndarray      # float (n_nodes,): pump photon flux (photons/(ps mm^2))
     t: float = 0.0
     istep: int = 0
 
     def trace_error(self) -> float:
-        return float(np.max(np.abs(self.rho00 + self.rho11 + self.rho22 - 1.0)))
+        return float(np.max(np.abs(self.pop.sum(axis=0) - 1.0)))
 
     def inversion(self) -> np.ndarray:
-        return self.rho22 - self.rho11
+        return self.pop[2] - self.pop[1]
 
     def physicality_violation(self) -> float:
         """Max of |rho21|^2 - rho22*rho11 over nodes and directions (monitored)."""
-        bound = self.rho22 * self.rho11
-        return float(max(np.max(np.abs(self.rho21_plus) ** 2 - bound),
-                         np.max(np.abs(self.rho21_minus) ** 2 - bound)))
+        return float(np.max(np.abs(self.coh) ** 2 - self.pop[2] * self.pop[1]))
 
     def check_finite(self) -> None:
-        for name in ("rho00", "rho11", "rho22", "rho21_plus", "rho21_minus",
-                     "omega_plus", "omega_minus", "jp"):
-            arr = getattr(self, name)
+        """Raise SolverError naming the array, row and cell of the first
+        non-finite value, and the step."""
+        for name, arr in vars(self).items():
+            if not isinstance(arr, np.ndarray):
+                continue
             bad = ~np.isfinite(arr)
             if bad.any():
-                cell = int(np.argmax(bad))
+                at = ", ".join(map(str, np.unravel_index(np.argmax(bad),
+                                                         arr.shape)))
                 raise SolverError(
-                    f"non-finite value in {name} at cell {cell}, "
+                    f"non-finite value in {name}[{at}] at "
                     f"step {self.istep} (t = {self.t:.6g} ps)")
+
+
+# initial-condition mode -> the population row that starts at 1
+INIT_ROWS = {"ground": 0, "absorbing": 1, "inverted": 2}
 
 
 def initialize(scen: Scenario, grid: GridSpec, mode: str = "ground",
@@ -191,38 +196,25 @@ def initialize(scen: Scenario, grid: GridSpec, mode: str = "ground",
     'inverted' (rho22=1) and 'absorbing' (rho11=1) are test modes for
     convergence and reabsorption checks.
     """
-    nn = grid.n_nodes
-    zeros = lambda: np.zeros(nn)
-    czeros = lambda: np.zeros(nn, dtype=complex)
-    state = FieldState(rho00=zeros(), rho11=zeros(), rho22=zeros(),
-                       rho21_plus=czeros(), rho21_minus=czeros(),
-                       omega_plus=czeros(), omega_minus=czeros(), jp=zeros())
-    if mode == "ground":
-        state.rho00[:] = 1.0
-    elif mode == "inverted":
-        state.rho22[:] = 1.0
-    elif mode == "absorbing":
-        state.rho11[:] = 1.0
-    else:
+    if mode not in INIT_ROWS:
         raise ParameterError(f"unknown init mode {mode!r}")
-    if rho21_seed != 0.0:
-        state.rho21_plus[:] = rho21_seed
-        state.rho21_minus[:] = rho21_seed
+    nn = grid.n_nodes
+    state = FieldState(pop=np.zeros((3, nn)),
+                       coh=np.full((2, nn), rho21_seed, dtype=complex),
+                       omega=np.zeros((2, nn), dtype=complex), jp=np.zeros(nn))
+    state.pop[INIT_ROWS[mode]] = 1.0
     return state
 
 
-def _bloch_rhs(r11, r22, rp, rm, op, om, gamma):
+def _bloch_rhs(r11, r22, coh, omega, gamma):
     """Decay + coherent-coupling part of Eqs. for (rho11, rho22, rho21+-).
 
     The pump term is handled exactly outside; rho00 does not appear here.
-    Returns (d11, drp, drm); d22 = -d11 exactly (the trace is conserved).
+    Returns (d11, dcoh); d22 = -d11 exactly (the trace is conserved).
     """
-    cpl = (op * rp.conj()).imag + (om * rm.conj()).imag
-    d11 = gamma * r22 + cpl
-    half_inv = 0.5j * (r22 - r11)
-    drp = -0.5 * gamma * rp - half_inv * op
-    drm = -0.5 * gamma * rm - half_inv * om
-    return d11, drp, drm
+    d11 = gamma * r22 + (omega * coh.conj()).imag.sum(axis=0)
+    dcoh = -0.5 * gamma * coh - 0.5j * (r22 - r11) * omega
+    return d11, dcoh
 
 
 def step(state: FieldState, scen: Scenario, grid: GridSpec,
@@ -237,10 +229,9 @@ def step(state: FieldState, scen: Scenario, grid: GridSpec,
     sigma = scen.medium.sigma
     t_new = state.t + dt
 
-    r00, r11, r22 = state.rho00, state.rho11, state.rho22
-    rp, rm = state.rho21_plus, state.rho21_minus
-    op, om = state.omega_plus, state.omega_minus
-    jp = state.jp
+    r00, r11, r22 = state.pop
+    coh, omega, jp = state.coh, state.omega, state.jp
+    pop_new = np.empty_like(state.pop)
 
     # (1) pump advection with trapezoidal attenuation along the characteristic
     jp_new = np.empty_like(jp)
@@ -254,7 +245,8 @@ def step(state: FieldState, scen: Scenario, grid: GridSpec,
     rate1 = sigma * jp_new
     rate_m = 0.5 * (rate0 + rate1)
     r00_half = r00 * np.exp(-0.25 * dt * (rate0 + rate_m))
-    r00_new = r00_half * np.exp(-0.25 * dt * (rate_m + rate1))
+    r00_new = np.multiply(r00_half, np.exp(-0.25 * dt * (rate_m + rate1)),
+                          out=pop_new[0])
     delta = r00 - r00_new
     # influx into |2> weighted by the decay kernel over the step (Simpson)
     s0 = rate0 * r00
@@ -267,43 +259,39 @@ def step(state: FieldState, scen: Scenario, grid: GridSpec,
     influx11 = delta - influx22
 
     # (3) field advection; trapezoidal source needs predicted rho21 at t+dt,
-    # which is also the Heun predictor of step (4)
-    d11, drp, drm = _bloch_rhs(r11, r22, rp, rm, op, om, gamma)
-    rp_pred = rp + dt * drp
-    rm_pred = rm + dt * drm
-    op_new = np.empty_like(op)
-    om_new = np.empty_like(om)
+    # which is also the Heun predictor of step (4).  The + envelope moves
+    # toward z = L and the - envelope toward z = 0.
+    d11, dcoh = _bloch_rhs(r11, r22, coh, omega, gamma)
+    coh_pred = coh + dt * dcoh
+    omega_new = np.empty_like(omega)
     half_src = 0.5j * eta * dz
-    np.add(op[:-1], half_src * (rp[:-1] + rp_pred[1:]), out=op_new[1:])
-    op_new[0] = omega_plus_boundary(t_new) if omega_plus_boundary else 0.0
-    np.add(om[1:], half_src * (rm[1:] + rm_pred[:-1]), out=om_new[:-1])
-    om_new[-1] = 0.0
+    np.add(omega[0, :-1], half_src * (coh[0, :-1] + coh_pred[0, 1:]),
+           out=omega_new[0, 1:])
+    omega_new[0, 0] = omega_plus_boundary(t_new) if omega_plus_boundary else 0.0
+    np.add(omega[1, 1:], half_src * (coh[1, 1:] + coh_pred[1, :-1]),
+           out=omega_new[1, :-1])
+    omega_new[1, -1] = 0.0
 
     # (4) Heun for decay + coupling, local fields at t and t+dt; |1> gains
     # exactly what |2> loses
     shift = dt * d11
-    d11_2, drp_2, drm_2 = _bloch_rhs(r11 + shift, r22 - shift,
-                                     rp_pred, rm_pred, op_new, om_new, gamma)
+    d11_2, dcoh_2 = _bloch_rhs(r11 + shift, r22 - shift, coh_pred, omega_new,
+                               gamma)
     shift = 0.5 * dt * (d11 + d11_2)
-    r11_new = r11 + shift + influx11
-    r22_new = r22 - shift + influx22
-    rp_new = rp + 0.5 * dt * (drp + drp_2)
-    rm_new = rm + 0.5 * dt * (drm + drm_2)
+    np.add(r11 + shift, influx11, out=pop_new[1])
+    np.add(r22 - shift, influx22, out=pop_new[2])
+    coh_new = coh + 0.5 * dt * (dcoh + dcoh_2)
 
-    # (5) spontaneous-emission noise on the coherences
+    # (5) spontaneous-emission noise on the coherences; normal rows are
+    # (Re+, Im+, Re-, Im-)
     if noise is not None and noise.enabled:
         z = noise_normals(noise, state.istep, grid.n_nodes)
-        z *= np.sqrt(0.5 * dt * noise_variance(r22_new, scen))
-        rp_new.real += z[0]
-        rp_new.imag += z[1]
-        rm_new.real += z[2]
-        rm_new.imag += z[3]
+        z *= np.sqrt(0.5 * dt * noise_variance(pop_new[2], scen))
+        coh_new.real += z[0::2]
+        coh_new.imag += z[1::2]
 
-    new = FieldState(rho00=r00_new, rho11=r11_new, rho22=r22_new,
-                     rho21_plus=rp_new, rho21_minus=rm_new,
-                     omega_plus=op_new, omega_minus=om_new, jp=jp_new,
-                     t=t_new, istep=state.istep + 1)
-    return new
+    return FieldState(pop=pop_new, coh=coh_new, omega=omega_new, jp=jp_new,
+                      t=t_new, istep=state.istep + 1)
 
 
 @dataclass
@@ -340,7 +328,7 @@ def run(scen: Scenario, grid: GridSpec, noise: NoiseSpec | None = None, *,
     snap_t, snaps = [], []
 
     if inv_out is not None:
-        inv_out[0] = state.rho22[inversion_node] - state.rho11[inversion_node]
+        inv_out[0] = state.pop[2, inversion_node] - state.pop[1, inversion_node]
     max_trace = state.trace_error()
     max_phys = 0.0
 
@@ -355,12 +343,12 @@ def run(scen: Scenario, grid: GridSpec, noise: NoiseSpec | None = None, *,
         except SolverError as err:
             idx = noise.realization_index if noise is not None else None
             raise SolverError(f"realization {idx}: {err}") from err
-        op_out[i + 1] = state.omega_plus[-1]
-        om_out[i + 1] = state.omega_minus[0]
+        op_out[i + 1] = state.omega[0, -1]
+        om_out[i + 1] = state.omega[1, 0]
         jp_out[i + 1] = state.jp[-1]
         if inv_out is not None:
-            inv_out[i + 1] = (state.rho22[inversion_node]
-                              - state.rho11[inversion_node])
+            inv_out[i + 1] = (state.pop[2, inversion_node]
+                              - state.pop[1, inversion_node])
         if snapshot_stride and (i + 1) % snapshot_stride == 0:
             snap_t.append(state.t)
             snaps.append(state.inversion().copy())

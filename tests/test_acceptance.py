@@ -27,7 +27,7 @@ from sfase.ensemble import (
 )
 from sfase.fitting import classify_regime, fit
 from sfase.params import gamma_from_dipole, solid_angle
-from sfase.plans import max_inversion
+from sfase.oracle import max_inversion
 from sfase.solver import NoiseSpec, make_grid, noise_normals, run
 
 LN2 = math.log(2.0)

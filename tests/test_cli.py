@@ -90,6 +90,21 @@ def test_ensemble_requires_scenario_and_out(toy_file):
     assert main(["ensemble", "--out", "/tmp/x"]) == EXIT_CONFIG
 
 
+def test_snapshots_only_for_run(tmp_path, toy_file):
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", toy_file, "--out", str(out),
+                 "--snapshots", "50"]) == EXIT_OK
+    assert (out / "inversion_snapshots.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["plan"]["snapshot_stride"] == 50
+    # ensemble and sweep never record snapshots, so they reject the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["ensemble", "--scenario", toy_file, "--out",
+              str(tmp_path / "ens"), "--snapshots", "5"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "ens").exists()
+
+
 def test_ne_preset_spelling(tmp_path, toy_file):
     out = tmp_path / "bad_ne"
     assert main(["ensemble", "--scenario", toy_file, "--out", str(out),

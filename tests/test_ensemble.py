@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sfase import ensemble
 from sfase.ensemble import (
     EnsembleSpec,
     RealizationScalars,
@@ -15,7 +16,7 @@ from sfase.ensemble import (
     run_ensemble,
     spectrum,
 )
-from sfase.solver import NoiseSpec, RunRecord, make_grid, run
+from sfase.solver import NoiseSpec, RunRecord, SolverError, make_grid, run
 
 
 def _fake_record(t, omega_plus, omega_minus=None, jp=None):
@@ -183,6 +184,34 @@ def test_ensemble_spec_validation(toy):
         EnsembleSpec(scenario=toy, grid=grid, n_realizations=0)
     with pytest.raises(ValueError):
         EnsembleSpec(scenario=toy, grid=grid, workers=0)
+
+
+def _run_failing_at(bad: set[int]):
+    """Stand-in for solver.run: a cheap fixed record, SolverError at bad."""
+    def fake_run(scen, grid, noise):
+        if noise.realization_index in bad:
+            raise SolverError(f"realization {noise.realization_index}: injected")
+        n = grid.nsteps + 1
+        return _fake_record(grid.times, omega_plus=np.full(n, 0.1),
+                            jp=np.ones(n))
+    return fake_run
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_failure_budget(toy, monkeypatch, workers):
+    # at most 1% of realizations may fail; the pool's forked workers see
+    # the patched run too
+    spec = EnsembleSpec(scenario=toy, grid=make_grid(toy), n_realizations=100,
+                        master_seed=0, workers=workers)
+    monkeypatch.setattr(ensemble, "run", _run_failing_at({17}))
+    summary, scalars = run_ensemble(spec)
+    assert summary.n_failed == 1
+    assert summary.n_realizations == 99
+    assert [s.index for s in scalars] == [i for i in range(100) if i != 17]
+    monkeypatch.setattr(ensemble, "run", _run_failing_at({17, 63}))
+    with pytest.raises(SolverError, match=r"^2/100 realizations failed: "
+                       r"realization 17: injected; realization 63: injected$"):
+        run_ensemble(spec)
 
 
 def test_realization_scalar_fields_match_dataclass():

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from sfase import solver
 from sfase.params import ParameterError
 from sfase.solver import (
     DECAY_RESOLUTION,
     GridError,
     NoiseSpec,
+    SolverError,
     default_t_end,
     initialize,
     make_grid,
@@ -113,10 +115,9 @@ def test_pump_boundary_peak(fig5):
 
 def test_initialize_modes(toy):
     grid = make_grid(toy)
-    for mode, attr in (("ground", "rho00"), ("inverted", "rho22"),
-                       ("absorbing", "rho11")):
+    for mode, row in (("ground", 0), ("inverted", 2), ("absorbing", 1)):
         state = initialize(toy, grid, mode=mode)
-        assert np.all(getattr(state, attr) == 1.0)
+        assert np.all(state.pop[row] == 1.0)
         assert state.trace_error() == 0.0
     with pytest.raises(ParameterError):
         initialize(toy, grid, mode="sideways")
@@ -125,8 +126,8 @@ def test_initialize_modes(toy):
 def test_initialize_seeded_coherence(toy):
     grid = make_grid(toy)
     state = initialize(toy, grid, mode="inverted", rho21_seed=1e-4)
-    assert np.all(state.rho21_plus == 1e-4)
-    assert np.all(state.rho21_minus == 1e-4)
+    assert np.all(state.coh[0] == 1e-4)
+    assert np.all(state.coh[1] == 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -246,5 +247,26 @@ def test_single_step_matches_run_prefix(toy):
     for _ in range(3):
         state = step(state, toy, grid, noise)
     rec = run(toy, grid, noise)
-    assert state.omega_plus[-1] == rec.omega_plus_out[3]
+    assert state.omega[0, -1] == rec.omega_plus_out[3]
     assert state.jp[-1] == rec.jp_out[3]
+
+
+# ---------------------------------------------------------------------------
+# failure paths
+# ---------------------------------------------------------------------------
+
+def test_check_finite_names_array_row_and_cell(toy):
+    state = initialize(toy, make_grid(toy))
+    state.check_finite()
+    state.coh[1, 4] = complex(np.nan, 0.0)
+    with pytest.raises(SolverError, match=r"coh\[1, 4\] at step 0"):
+        state.check_finite()
+
+
+def test_non_finite_pump_fails_run_with_realization_index(toy, monkeypatch):
+    monkeypatch.setattr(solver, "pump_boundary", lambda *args: np.nan)
+    with pytest.raises(SolverError,
+                       match=r"^realization 3: non-finite value in pop\[0, 0\] "
+                             r"at step 1 "):
+        run(toy, make_grid(toy), NoiseSpec(master_seed=1, realization_index=3),
+            check_stride=1)
