@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 config error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -30,6 +31,9 @@ SWEEP_AXES = {
     "rNp": (("r", "r_grid", 1.0e-3), ("n_p", "np_grid", 1.0)),
     "L": (("L", "l_grid", 1.0),),
 }
+# plan kinds each simulation subcommand runs from a manifest
+MANIFEST_KINDS = {"run": ("single",), "ensemble": ("ensemble",),
+                  "sweep": ("sweep", "sweep_Tp")}
 
 
 def _scenario_dict(ref: str) -> dict:
@@ -50,7 +54,9 @@ def _add_common(sub, out_required=True):
     if out_required:
         sub.add_argument("--out", help="output directory")
     sub.add_argument("--seed", type=int, default=0, help="master seed")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=None,
+                     help="worker processes (default 1; with --from-manifest, "
+                          "the stored count); outputs do not depend on it")
     sub.add_argument("--ne", default="desk",
                      help="realization count: integer or preset desk/paper")
     sub.add_argument("--grid-nz", type=int, default=None)
@@ -138,13 +144,22 @@ def _cmd_oracle(args) -> int:
 
 def _plan_from_args(args, kind: str, **fields) -> ExperimentPlan:
     if args.from_manifest:
-        return ExperimentPlan.from_dict(load_manifest_plan(args.from_manifest))
+        plan = ExperimentPlan.from_dict(load_manifest_plan(args.from_manifest))
+        accepted = MANIFEST_KINDS[args.command]
+        if plan.kind not in accepted:
+            raise ParameterError(
+                f"{args.from_manifest}: plan kind {plan.kind!r} cannot run under "
+                f"'sfase {args.command}' (it takes {' or '.join(accepted)})")
+        if args.workers is not None:
+            plan = dataclasses.replace(plan, workers=args.workers)
+        return plan
     if not args.scenario or not args.out:
         raise ParameterError("--scenario and --out are required "
                              "(or use --from-manifest)")
     return ExperimentPlan(
         kind=kind, scenario=_scenario_dict(args.scenario), out_dir=args.out,
-        master_seed=args.seed, workers=args.workers,
+        master_seed=args.seed,
+        workers=1 if args.workers is None else args.workers,
         n_realizations=_parse_ne(args.ne), grid_nz=args.grid_nz,
         t_end_ps=args.t_end, **fields)
 

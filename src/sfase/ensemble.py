@@ -2,14 +2,19 @@
 
 Realizations are independent work units; each one draws from its own
 counter-based noise stream, so results are identical for any worker count
-or scheduling.  Aggregation gathers per-realization reductions, orders them
-by realization index, and reduces sequentially, which makes the ensemble
-output bit-for-bit equal to a serial run.
+or scheduling.  One stream per command runs every point's realizations
+(on one process pool when there are workers) and yields their reductions
+in (point, index) order; aggregation folds them into running sums in that
+order, which makes the ensemble output bit-for-bit equal to a serial run.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +28,11 @@ SPECTRUM_PAD = 4
 PHOTON_BINS = 30
 DELAY_BINS = 50
 BOOTSTRAP_RESAMPLES = 1000
+# resampled values a bootstrap holds at once, whatever the ensemble size
+BOOTSTRAP_CHUNK = 1 << 14
+# tasks a pool keeps in flight per worker: enough to compute ahead while the
+# consumer folds and writes, few enough that memory stays flat
+IN_FLIGHT_PER_WORKER = 4
 
 
 def pulse_area(omega_series, dt: float) -> float:
@@ -180,9 +190,15 @@ def _reduce_one(spec: EnsembleSpec, index: int):
 
 def _bootstrap_ci(values: np.ndarray, seed: int, stat=np.mean,
                   n_resamples: int = BOOTSTRAP_RESAMPLES) -> tuple[float, float]:
+    # drawn in blocks of rows: the generator yields the same index stream
+    # for any block size, so the interval does not depend on it
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx = rng.integers(0, len(values), size=(n_resamples, len(values)))
-    stats = stat(values[idx], axis=1)
+    n = len(values)
+    rows = max(1, BOOTSTRAP_CHUNK // n)
+    stats = np.concatenate([
+        stat(values[rng.integers(0, n, size=(min(rows, n_resamples - start), n))],
+             axis=1)
+        for start in range(0, n_resamples, rows)])
     return (float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5)))
 
 
@@ -215,43 +231,63 @@ def _direction_summary(areas, photons, peaks, delays, t_end, tau_i,
     )
 
 
-def run_ensemble(spec: EnsembleSpec
+def realization_outcomes(specs: list[EnsembleSpec]) -> Iterator:
+    """Outcomes of every (point, realization index) task, in that order.
+
+    An outcome is what `_reduce_one` returns, or the `SolverError` it
+    raised.  With more than one worker the tasks run on a single process
+    pool that keeps IN_FLIGHT_PER_WORKER * workers of them in flight, so
+    workers compute ahead while the consumer folds and writes what it has;
+    otherwise each `_reduce_one` runs lazily when its outcome is pulled.
+    Closing the stream, or an exception leaving it, shuts the pool down and
+    cancels the tasks not yet started.
+    """
+    tasks = ((spec, index) for spec in specs
+             for index in range(spec.n_realizations))
+    workers = max((spec.workers for spec in specs), default=1)
+    if workers == 1 or sum(spec.n_realizations for spec in specs) == 1:
+        for spec, index in tasks:
+            try:
+                yield _reduce_one(spec, index)
+            except SolverError as err:
+                yield err
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        window = deque(pool.submit(_reduce_one, *task) for task in
+                       itertools.islice(tasks, IN_FLIGHT_PER_WORKER * workers))
+        while window:
+            future = window.popleft()
+            for task in itertools.islice(tasks, 1):
+                window.append(pool.submit(_reduce_one, *task))
+            try:
+                outcome = future.result()
+            except SolverError as err:
+                outcome = err
+            yield outcome
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_ensemble(spec: EnsembleSpec, outcomes: Iterator | None = None
                  ) -> tuple[EnsembleSummary, list[RealizationScalars]]:
     """Run all realizations and aggregate Eq.-style averages and statistics.
 
+    Takes exactly spec.n_realizations outcomes from `outcomes` (by default
+    a stream of this spec alone, see `realization_outcomes`) and folds them
+    in index order into running sums, so the result is bitwise that of a
+    serial run and memory does not grow with the realization count.
     Failed realizations are excluded; the whole ensemble fails if more than
     1% of them fail.
     """
-    results: dict[int, tuple] = {}
-    failures: dict[int, str] = {}
+    if outcomes is None:
+        with closing(realization_outcomes([spec])) as own:
+            return _fold(spec, own)
+    return _fold(spec, outcomes)
 
-    if spec.workers > 1 and spec.n_realizations > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = {i: pool.submit(_reduce_one, spec, i)
-                       for i in range(spec.n_realizations)}
-            for index, fut in futures.items():
-                try:
-                    out = fut.result()
-                    results[out[0]] = out
-                except SolverError as err:
-                    failures[index] = str(err)
-    else:
-        for index in range(spec.n_realizations):
-            try:
-                out = _reduce_one(spec, index)
-                results[out[0]] = out
-            except SolverError as err:
-                failures[index] = str(err)
 
-    n_failed = len(failures)
-    if n_failed > 0.01 * spec.n_realizations:
-        raise SolverError(
-            f"{n_failed}/{spec.n_realizations} realizations failed: "
-            + "; ".join(list(failures.values())[:3]))
-
-    # deterministic, schedule-independent reduction: sorted by index
-    ordered = [results[i] for i in sorted(results)]
-    n_ok = len(ordered)
+def _fold(spec: EnsembleSpec, outcomes: Iterator
+          ) -> tuple[EnsembleSummary, list[RealizationScalars]]:
     nt = spec.grid.nsteps + 1
     nw = SPECTRUM_PAD * nt
     sum_if = np.zeros(nt)
@@ -259,8 +295,14 @@ def run_ensemble(spec: EnsembleSpec
     sum_sf = np.zeros(nw)
     sum_sb = np.zeros(nw)
     scalars: list[RealizationScalars] = []
+    failures: dict[int, str] = {}
     max_trace = 0.0
-    for (_, sc, intf, intb, sf, sb, trace_err) in ordered:
+    for index, outcome in enumerate(
+            itertools.islice(outcomes, spec.n_realizations)):
+        if isinstance(outcome, SolverError):
+            failures[index] = str(outcome)
+            continue
+        _, sc, intf, intb, sf, sb, trace_err = outcome
         scalars.append(sc)
         sum_if += intf
         sum_ib += intb
@@ -268,6 +310,13 @@ def run_ensemble(spec: EnsembleSpec
         sum_sb += sb
         max_trace = max(max_trace, trace_err)
 
+    n_failed = len(failures)
+    if n_failed > 0.01 * spec.n_realizations:
+        raise SolverError(
+            f"{n_failed}/{spec.n_realizations} realizations failed: "
+            + "; ".join(list(failures.values())[:3]))
+
+    n_ok = len(scalars)
     w_axis, _ = spectrum(np.zeros(nt, dtype=complex), spec.grid.dt)
     tau_i = spec.scenario.pump.tau_i
     t_end = spec.grid.t_end

@@ -8,18 +8,20 @@ reproduces the outputs bitwise.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import io, oracle
-from .ensemble import EnsembleSpec, run_ensemble
+from .ensemble import EnsembleSpec, realization_outcomes, run_ensemble
 from .fitting import fit
 from .oracle import max_inversion
 from .params import (REPLACEABLE, Scenario, ParameterError,
                      scenario_from_dict, validation_warnings)
-from .solver import NoiseSpec, SolverError, make_grid, run
+from .solver import GridError, NoiseSpec, SolverError, make_grid, run
 
 KINDS = ("single", "ensemble", "sweep", "sweep_Tp", "oracle", "fit")
 # plan fields a kind cannot run without
@@ -113,16 +115,21 @@ def oracle_report(scen: Scenario) -> dict:
     }
 
 
-def _ensemble_point(scen: Scenario, plan: ExperimentPlan, out_dir: Path) -> dict:
-    """Run the plan's ensemble for one scenario into out_dir; its map row."""
+def _ensemble_spec(scen: Scenario, plan: ExperimentPlan) -> EnsembleSpec:
     grid = make_grid(scen, nz=plan.grid_nz, t_end=plan.t_end_ps)
-    spec = EnsembleSpec(scenario=scen, grid=grid,
+    return EnsembleSpec(scenario=scen, grid=grid,
                         n_realizations=plan.n_realizations,
                         master_seed=plan.master_seed, workers=plan.workers)
-    summary, scalars = run_ensemble(spec)
+
+
+def _ensemble_point(spec: EnsembleSpec, out_dir: Path,
+                    outcomes: Iterator | None = None) -> dict:
+    """Aggregate one ensemble into out_dir (from a sweep's shared stream
+    of outcomes if given); its map row."""
+    summary, scalars = run_ensemble(spec, outcomes)
     io.write_ensemble_outputs(summary, scalars, out_dir)
     return {
-        "alpha": scen.derived.alpha,
+        "alpha": spec.scenario.derived.alpha,
         "prob_fwd": summary.forward.threshold_probability,
         "prob_bwd": summary.backward.threshold_probability,
         "peak_fwd_mean": summary.forward.peak_intensity_mean,
@@ -133,21 +140,30 @@ def _ensemble_point(scen: Scenario, plan: ExperimentPlan, out_dir: Path) -> dict
 
 
 def _run_sweep(plan: ExperimentPlan, out: Path, points: list[dict]) -> None:
-    """Shared sweep executor: one ensemble per point, one map row each."""
+    """Shared sweep executor: one ensemble per point, one map row each.
+
+    Every point's scenario and grid are resolved first; a point that
+    cannot be built, or whose ensemble fails, becomes an error row.  The
+    valid points then share one stream of outcomes, so the workers compute
+    the next point while this process folds and writes the current one.
+    """
     base = scenario_from_dict(plan.scenario)
-    rows: list[dict] = []
-    failed = 0
+    rows = [dict(overrides) for overrides in points]
+    specs: dict[int, EnsembleSpec] = {}
     for i, overrides in enumerate(points):
-        point_dir = out / f"point_{i:03d}"
-        row = dict(overrides)
         try:
-            scen = base.replace(**overrides)
-            row.update(_ensemble_point(scen, plan, point_dir))
-            row["error"] = ""
-        except (ParameterError, SolverError) as err:
-            row["error"] = str(err)
-            failed += 1
-        rows.append(row)
+            specs[i] = _ensemble_spec(base.replace(**overrides), plan)
+        except (ParameterError, GridError) as err:
+            rows[i]["error"] = str(err)
+    with closing(realization_outcomes(list(specs.values()))) as outcomes:
+        for i, spec in specs.items():
+            try:
+                rows[i].update(_ensemble_point(spec, out / f"point_{i:03d}",
+                                               outcomes))
+                rows[i]["error"] = ""
+            except SolverError as err:
+                rows[i]["error"] = str(err)
+    failed = sum(1 for row in rows if row["error"])
     keys = sorted({k for r in rows for k in r})
     io.write_csv(out / "map.csv", keys,
                  [[r.get(k, "") for r in rows] for k in keys])
@@ -180,7 +196,8 @@ def run_plan(plan: ExperimentPlan) -> Path:
                             for k in range(grid.n_nodes)])
 
     elif plan.kind == "ensemble":
-        _ensemble_point(scenario_from_dict(plan.scenario), plan, out)
+        _ensemble_point(_ensemble_spec(scenario_from_dict(plan.scenario), plan),
+                        out)
 
     elif plan.kind == "sweep":
         points = [dict(zip(plan.axes, values))

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from sfase import io
+from sfase import ensemble, io
 from sfase.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from sfase.solver import SolverError
 
 
 @pytest.fixture()
@@ -111,6 +112,41 @@ def test_ne_preset_spelling(tmp_path, toy_file):
                  "--ne", "dozen"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, kind", [
+    ("run", "ensemble"), ("ensemble", "single"), ("ensemble", "sweep"),
+    ("sweep", "ensemble"), ("sweep", "single"),
+])
+def test_manifest_kind_must_match_command(tmp_path, toy_dict, command, kind):
+    out = tmp_path / "out"
+    plan = {"kind": kind, "scenario": toy_dict, "out_dir": str(out),
+            "n_realizations": 1, "axes": {"L": [0.03]}}
+    if kind != "sweep":
+        del plan["axes"]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"plan": plan}))
+    assert main([command, "--from-manifest", str(manifest)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_manifest_replay_takes_explicit_workers(tmp_path, toy_file):
+    out = tmp_path / "ens"
+    assert main(["ensemble", "--scenario", toy_file, "--out", str(out),
+                 "--ne", "3", "--seed", "4"]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["plan"]["workers"] == 1
+    replay_out = tmp_path / "replay"
+    manifest["plan"]["out_dir"] = str(replay_out)
+    replay = tmp_path / "manifest2.json"
+    replay.write_text(json.dumps(manifest))
+    assert main(["ensemble", "--from-manifest", str(replay),
+                 "--workers", "2"]) == EXIT_OK
+    replayed = json.loads((replay_out / "manifest.json").read_text())
+    assert replayed["plan"]["workers"] == 2
+    # outputs do not depend on the worker count
+    for name in ("realizations.csv", "summary.json", "avg_spectrum.csv"):
+        assert (replay_out / name).read_bytes() == (out / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # sweep / fit
 # ---------------------------------------------------------------------------
@@ -162,6 +198,70 @@ def test_sweep_missing_grid_writes_nothing(tmp_path, toy_file):
     assert main(["sweep", "--kind", "Ln", "--scenario", toy_file,
                  "--out", str(out), "--l-grid", "0.02,0.03"]) == EXIT_CONFIG
     assert not out.exists()
+
+
+def _artifacts(out):
+    """Every file of a sweep but its manifest, as {relative path: bytes}."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def _map_errors(out):
+    with open(out / "map.csv", newline="") as fh:
+        return [row["error"] for row in csv.DictReader(fh)]
+
+
+def test_sweep_artifacts_independent_of_workers(tmp_path, toy_file):
+    outs = [tmp_path / f"w{w}" for w in (1, 2)]
+    for w, out in zip((1, 2), outs):
+        assert main(["sweep", "--kind", "L", "--scenario", toy_file,
+                     "--out", str(out), "--ne", "3", "--seed", "9",
+                     "--l-grid", "0.02,0.025,0.03", "--fixed-alpha", "480",
+                     "--workers", str(w)]) == EXIT_OK
+    serial, pooled = (_artifacts(out) for out in outs)
+    assert "map.csv" in serial and "point_002/realizations.csv" in serial
+    assert serial == pooled
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_failed_point_keeps_stream_aligned(tmp_path, toy_file,
+                                                 monkeypatch, workers):
+    # one failure in 3 breaks the middle point's 1% budget; it must still
+    # take all 3 of its outcomes, or the last point would fold the middle
+    # point's leftovers
+    args = ["sweep", "--kind", "L", "--scenario", toy_file, "--ne", "3",
+            "--l-grid", "0.02,0.025,0.03", "--fixed-alpha", "480",
+            "--workers", str(workers)]
+    clean, failed = tmp_path / "clean", tmp_path / "failed"
+    assert main(args + ["--out", str(clean)]) == EXIT_OK
+    real_run = ensemble.run
+
+    def run_failing_middle(scen, grid, noise):
+        if scen.medium.L == 0.025 and noise.realization_index == 0:
+            raise SolverError("injected")
+        return real_run(scen, grid, noise)
+
+    # the pool's forked workers see the patched run too
+    monkeypatch.setattr(ensemble, "run", run_failing_middle)
+    assert main(args + ["--out", str(failed)]) == EXIT_RUNTIME
+    assert _map_errors(failed) == ["", "1/3 realizations failed: injected", ""]
+    assert not (failed / "point_001").exists()
+    for point in ("point_000", "point_002"):
+        assert ((failed / point / "realizations.csv").read_bytes()
+                == (clean / point / "realizations.csv").read_bytes())
+
+
+def test_sweep_point_without_grid_is_error_row(tmp_path, toy_file):
+    # nz = 12 resolves L = 0.02 mm but not L = 0.05 mm
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--kind", "L", "--scenario", toy_file,
+                 "--out", str(out), "--ne", "1", "--l-grid", "0.02,0.05",
+                 "--grid-nz", "12"]) == EXIT_RUNTIME
+    errors = _map_errors(out)
+    assert errors[0] == ""
+    assert "resolution limit" in errors[1]
+    assert (out / "point_000" / "summary.json").exists()
+    assert not (out / "point_001").exists()
 
 
 @pytest.mark.parametrize("axes", [

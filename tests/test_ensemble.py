@@ -1,5 +1,6 @@
 """Tests of per-realization reductions and seeded-ensemble aggregation."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,26 @@ def test_ensemble_failure_budget(toy, monkeypatch, workers):
     with pytest.raises(SolverError, match=r"^2/100 realizations failed: "
                        r"realization 17: injected; realization 63: injected$"):
         run_ensemble(spec)
+
+
+def test_ensemble_memory_flat_in_realizations(toy, monkeypatch):
+    # realizations are folded into running sums as they arrive, so peak
+    # memory does not grow with ne (holding every realization's intensities
+    # and padded spectra made it about 4x from ne = 50 to 200)
+    monkeypatch.setattr(ensemble, "run", _run_failing_at(set()))
+    grid = make_grid(toy)
+
+    def peak(n):
+        spec = EnsembleSpec(scenario=toy, grid=grid, n_realizations=n,
+                            master_seed=0, workers=1)
+        tracemalloc.start()
+        try:
+            run_ensemble(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200) <= 1.2 * peak(50)
 
 
 def test_realization_scalar_fields_match_dataclass():
