@@ -13,7 +13,8 @@ import itertools
 import math
 from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -239,8 +240,11 @@ def realization_outcomes(specs: list[EnsembleSpec]) -> Iterator:
     pool that keeps IN_FLIGHT_PER_WORKER * workers of them in flight, so
     workers compute ahead while the consumer folds and writes what it has;
     otherwise each `_reduce_one` runs lazily when its outcome is pulled.
-    Closing the stream, or an exception leaving it, shuts the pool down and
-    cancels the tasks not yet started.
+    A worker that dies breaks the pool: the first task found broken and
+    every task after it become `SolverError`s that name their index and
+    the cause, and nothing more is submitted.  Closing the stream, or an
+    exception leaving it, shuts the pool down and cancels the tasks not
+    yet started.
     """
     tasks = ((spec, index) for spec in specs
              for index in range(spec.n_realizations))
@@ -254,19 +258,37 @@ def realization_outcomes(specs: list[EnsembleSpec]) -> Iterator:
         return
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        window = deque(pool.submit(_reduce_one, *task) for task in
+        window = deque(_submit(pool, *task) for task in
                        itertools.islice(tasks, IN_FLIGHT_PER_WORKER * workers))
         while window:
-            future = window.popleft()
+            index, future = window.popleft()
             for task in itertools.islice(tasks, 1):
-                window.append(pool.submit(_reduce_one, *task))
+                window.append(_submit(pool, *task))
             try:
                 outcome = future.result()
             except SolverError as err:
                 outcome = err
+            except BrokenProcessPool as err:
+                for lost in itertools.chain((index,), (i for i, _ in window),
+                                            (i for _, i in tasks)):
+                    yield SolverError(f"realization {lost}: lost, a pool "
+                                      f"worker died ({err})")
+                return
             yield outcome
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _submit(pool: ProcessPoolExecutor, spec: EnsembleSpec, index: int
+            ) -> tuple[int, Future]:
+    """(index, future of `_reduce_one`); a broken pool gives a future that
+    holds the BrokenProcessPool error instead of raising it here."""
+    try:
+        return index, pool.submit(_reduce_one, spec, index)
+    except BrokenProcessPool as err:
+        future = Future()
+        future.set_exception(err)
+        return index, future
 
 
 def run_ensemble(spec: EnsembleSpec, outcomes: Iterator | None = None

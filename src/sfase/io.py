@@ -3,25 +3,25 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import platform
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .ensemble import EnsembleSummary, RealizationScalars
-from .solver import RunRecord
+from .solver import NOISE_STREAM, RunRecord
 
 
 def write_csv(path: str | Path, header: list[str], columns: list) -> None:
-    arrays = [np.asarray(col) for col in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in zip(*arrays):
-            # repr(float(...)) gives the shortest exact decimal; numpy scalar
-            # repr would not parse back
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                             for v in row])
+        # tolist() gives Python floats, which csv writes as their shortest
+        # exact repr; numpy scalars would be written as "np.float64(...)"
+        writer.writerows(zip(*(np.asarray(col).tolist() for col in columns)))
 
 
 def write_json(path: str | Path, payload: dict, sort_keys: bool = True) -> None:
@@ -110,10 +110,18 @@ def write_ensemble_outputs(summary: EnsembleSummary,
     write_realizations(scalars, out / "realizations.csv")
 
 
+def environment() -> dict:
+    """The software and machine that produce a run's numbers."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "platform": platform.platform(),
+            "cpu_count": os.cpu_count(), "noise_stream": NOISE_STREAM}
+
+
 def write_manifest(plan_dict: dict, out_dir: str | Path) -> None:
     # unsorted: the order of plan["axes"] is the order of the sweep points
     write_json(Path(out_dir) / "manifest.json",
-               {"sfase_version": __version__, "plan": plan_dict}, sort_keys=False)
+               {"sfase_version": __version__, "environment": environment(),
+                "plan": plan_dict}, sort_keys=False)
 
 
 def load_manifest_plan(path: str | Path) -> dict:

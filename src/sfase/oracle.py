@@ -72,17 +72,22 @@ def rho22_quadrature(t, scen: Scenario, tol: float = 1.0e-8):
     tau_p, tau_i = scen.pump.tau_p, scen.pump.tau_i
     q = depletion_scale(scen)
     amp = scen.medium.sigma * _pump_peak(scen)
+    epsabs = tol / max(amp, 1.0)
+    # integrand is a single pulse centered near tau_i; pass it as a point
+    breaks = (tau_i - 3 * tau_p, tau_i, tau_i + 3 * tau_p)
 
     def interval(t0: float, t1: float) -> tuple[float, float]:
+        # plain-float math (scipy's erf would make numpy scalars): quad
+        # calls this about 21 times per interval.  gamma*(s - t1) and
+        # q*(1 + erf) stay factored; expanding either loses digits to
+        # cancellation when q is large
         def integrand(s):
             x = (s - tau_i) / tau_p
-            return math.exp(gamma * (s - t1) - q * (1.0 + erf(x)) - x * x)
+            return math.exp(gamma * (s - t1) - q * (1.0 + math.erf(x)) - x * x)
 
-        # integrand is a single pulse centered near tau_i; pass it as a point
-        pts = [p for p in (tau_i - 3 * tau_p, tau_i, tau_i + 3 * tau_p)
-               if t0 < p < t1]
+        pts = [p for p in breaks if t0 < p < t1]
         return quad(integrand, t0, t1, points=pts or None,
-                    epsabs=tol / max(amp, 1.0), epsrel=1.0e-10, limit=200)
+                    epsabs=epsabs, epsrel=1.0e-10, limit=200)
 
     times = np.asarray(t, dtype=float)
     flat = times.ravel()

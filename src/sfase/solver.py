@@ -94,6 +94,11 @@ def make_grid(scen: Scenario, nz: int | None = None,
     return GridSpec(nz=nz, dz=dz, dt=dt, t_end=t_end)
 
 
+# version of the seeded noise draw recorded in manifests; a change that
+# alters the numbers noise_normals returns for given coordinates bumps it
+NOISE_STREAM = "v1"
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     master_seed: int

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and artifact files."""
 import csv
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -84,6 +86,25 @@ def test_ensemble_outputs_and_manifest_replay(tmp_path, toy_file):
     replay.write_text(json.dumps(manifest))
     assert main(["ensemble", "--from-manifest", str(replay)]) == EXIT_OK
     assert (out2 / "realizations.csv").read_text() == realizations
+
+
+def test_manifest_records_environment_and_replays_from_plan(tmp_path, toy_file):
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", toy_file, "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "platform", "cpu_count",
+                        "noise_stream"}
+    assert env["numpy"] == np.__version__
+    assert env["noise_stream"] == "v1"
+    # a manifest from another machine replays: only its plan is read
+    manifest["environment"] = {"python": "0.0", "platform": "elsewhere"}
+    manifest["plan"]["out_dir"] = str(tmp_path / "replay")
+    replay = tmp_path / "manifest2.json"
+    replay.write_text(json.dumps(manifest))
+    assert main(["run", "--from-manifest", str(replay)]) == EXIT_OK
+    assert ((tmp_path / "replay" / "run.csv").read_bytes()
+            == (out / "run.csv").read_bytes())
 
 
 def test_ensemble_requires_scenario_and_out(toy_file):
@@ -249,6 +270,47 @@ def test_sweep_failed_point_keeps_stream_aligned(tmp_path, toy_file,
     for point in ("point_000", "point_002"):
         assert ((failed / point / "realizations.csv").read_bytes()
                 == (clean / point / "realizations.csv").read_bytes())
+
+
+def _exit_at_realization_1(real_run):
+    def run(scen, grid, noise):
+        if noise.realization_index == 1:
+            os._exit(1)          # the worker process dies, no exception
+        return real_run(scen, grid, noise)
+    return run
+
+
+# the pool's workers see the patched run only if they are forked
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="patching workers needs the fork start method")
+
+
+@needs_fork
+def test_sweep_dead_worker_gives_error_rows(tmp_path, toy_file, monkeypatch):
+    monkeypatch.setattr(ensemble, "run", _exit_at_realization_1(ensemble.run))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--kind", "L", "--scenario", toy_file,
+                 "--out", str(out), "--l-grid", "0.02,0.03",
+                 "--fixed-alpha", "480", "--ne", "3",
+                 "--workers", "2"]) == EXIT_RUNTIME
+    first, second = _map_errors(out)
+    # realization 0 may finish before the pool notices the dead worker;
+    # from there on every realization is charged, by index
+    assert "realizations failed" in first
+    assert "realization 1: lost, a pool worker died" in first
+    assert second.startswith("3/3 realizations failed")
+    for index in range(3):
+        assert f"realization {index}: lost, a pool worker died" in second
+
+
+@needs_fork
+def test_ensemble_dead_worker_exits_runtime(tmp_path, toy_file, monkeypatch,
+                                            capsys):
+    monkeypatch.setattr(ensemble, "run", _exit_at_realization_1(ensemble.run))
+    assert main(["ensemble", "--scenario", toy_file, "--out",
+                 str(tmp_path / "ens"), "--ne", "3",
+                 "--workers", "2"]) == EXIT_RUNTIME
+    assert "pool worker died" in capsys.readouterr().err
 
 
 def test_sweep_point_without_grid_is_error_row(tmp_path, toy_file):

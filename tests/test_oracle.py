@@ -158,6 +158,38 @@ def test_rho22_one_quad_per_positive_time(fig4, monkeypatch):
     assert calls == np.count_nonzero(t > 0.0)
 
 
+def _rate_equation_max_inversion(scen, n_t=400):
+    """Peak of I(t, 0) from DOP853 on the z=0 rate equations, on the window
+    max_inversion uses.  The integration starts 12 tau_p before the pump
+    peak and carries u = ln rho00, which keeps the depletion non-stiff."""
+    tau_p, tau_i = scen.pump.tau_p, scen.pump.tau_i
+    gamma = scen.transition.gamma
+    rate_peak = scen.medium.sigma * float(jp_analytic(tau_i, 0.0, scen))
+    ts = np.linspace(max(tau_i - 4.0 * tau_p, 0.0),
+                     tau_i + 6.0 * tau_p + 3.0 * scen.transition.tau2, n_t)
+
+    def rhs(t, y):
+        x = (t - tau_i) / tau_p
+        rate = rate_peak * math.exp(-x * x)
+        # Runge-Kutta stages may overshoot above u = 0; rho00 <= 1 always
+        return [-rate, rate * math.exp(min(y[0], 0.0)) - gamma * y[1]]
+
+    sol = solve_ivp(rhs, (tau_i - 12.0 * tau_p, ts[-1]), [0.0, 0.0],
+                    method="DOP853", t_eval=ts, rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    rho00, rho22 = np.exp(sol.y[0]), sol.y[1]
+    return float(np.max(2.0 * rho22 + rho00 - 1.0))
+
+
+@pytest.mark.parametrize("q", [1.0, 256.0])
+@pytest.mark.parametrize("tp_fs", [15.0, 40.0, 65.0])
+def test_max_inversion_matches_rate_equations(fig4, tp_fs, q):
+    # the sweep_Tp point: fixed peak flux per Q, n_p = Q T_p[fs] 1e12
+    scen = fig4.replace(tau_p=tp_fs * 1.0e-3, n_p=q * tp_fs * 1.0e12)
+    assert abs(oracle.max_inversion(scen)
+               - _rate_equation_max_inversion(scen)) < 2.0e-8
+
+
 def test_inversion_quadrature_bounds(fig3a):
     t = np.linspace(0.0, 3.0, 40)
     inv = inversion_quadrature(t, fig3a)
