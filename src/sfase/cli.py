@@ -111,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     fitp = subs.add_parser("fit", help="fit a model family to CSV data")
     fitp.add_argument("--family", required=True)
     fitp.add_argument("--data", required=True, help="CSV file")
-    fitp.add_argument("--x-col", default="alpha")
-    fitp.add_argument("--y-col", default="peak_fwd")
+    fitp.add_argument("--x-col", default=ExperimentPlan.fit_x_col)
+    fitp.add_argument("--y-col", default=ExperimentPlan.fit_y_col)
     fitp.add_argument("--out", required=True)
     fitp.add_argument("--seed", type=int, default=0)
     return parser

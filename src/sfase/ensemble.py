@@ -34,43 +34,54 @@ BOOTSTRAP_CHUNK = 1 << 14
 # tasks a pool keeps in flight per worker: enough to compute ahead while the
 # consumer folds and writes, few enough that memory stays flat
 IN_FLIGHT_PER_WORKER = 4
+# (EnsembleSummary attribute, artifact suffix) of each direction, in the row
+# order of RunRecord.omega_out: forward emission at z = L, backward at z = 0.
+# Every per-direction column, key and file name is built from these.
+DIRECTIONS = (("forward", "fwd"), ("backward", "bwd"))
 
 
-def pulse_area(omega_series, dt: float) -> float:
-    """Rabi angle integral sum(|Omega|) * dt on the solver grid."""
-    return float(np.sum(np.abs(np.asarray(omega_series))) * dt)
+def direction_names(name: str) -> list[str]:
+    """`name` with each direction's suffix, forward first."""
+    return [f"{name}_{tag}" for _, tag in DIRECTIONS]
+
+
+def pulse_area(omega_series, dt: float):
+    """Rabi angle integral sum(|Omega|) * dt over the last (time) axis; a
+    float for one series, one value per row for stacked series."""
+    area = np.sum(np.abs(np.asarray(omega_series)), axis=-1) * dt
+    return float(area) if area.ndim == 0 else area
 
 
 def spectrum(omega_series, dt: float,
              pad_factor: int = SPECTRUM_PAD) -> tuple[np.ndarray, np.ndarray]:
     """Spectral intensity |integral Omega(t) e^{i w t} dt|^2 of the envelope.
 
-    Returns (detuning axis rad/ps ascending, intensity).  No window; the
-    series is zero-padded pad_factor-fold for peak localization.  The dt
-    factor is kept so the discrete Parseval identity holds exactly.
+    Returns (detuning axis rad/ps ascending, intensity); stacked series are
+    transformed along their last (time) axis.  No window; the series is
+    zero-padded pad_factor-fold for peak localization.  The dt factor is
+    kept so the discrete Parseval identity holds exactly.
     """
     series = np.asarray(omega_series, dtype=complex)
-    n_pad = pad_factor * len(series)
-    coeffs = dt * np.fft.fft(series, n=n_pad)
+    n_pad = pad_factor * series.shape[-1]
+    coeffs = dt * np.fft.fft(series, n=n_pad, axis=-1)
     # fft uses e^{-iwt}; the e^{+iwt} transform is the same set of values on
     # the negated frequency axis
     omega_axis = -2.0 * math.pi * np.fft.fftfreq(n_pad, d=dt)
     order = np.argsort(omega_axis)
-    return omega_axis[order], np.abs(coeffs[order]) ** 2
+    return omega_axis[order], np.abs(coeffs[..., order]) ** 2
 
 
-def delay_time(record: RunRecord, direction: str = "forward") -> float | None:
-    """Peak of |Omega|^2 minus peak of J_p(t, L); None if no emission."""
-    out = (record.omega_plus_out if direction == "forward"
-           else record.omega_minus_out)
-    intensity = np.abs(out) ** 2
-    if not np.any(intensity > 0.0):
-        return None
-    if not np.any(record.jp_out > 0.0):
+def delay_time(record: RunRecord) -> np.ndarray:
+    """Peak of |Omega|^2 minus peak of J_p(t, L) for each direction (the
+    rows of record.omega_out); NaN where a direction has no emission."""
+    intensity = np.abs(record.omega_out) ** 2
+    emits = np.any(intensity > 0.0, axis=-1)
+    if emits.any() and not np.any(record.jp_out > 0.0):
         raise ValueError("delay_time needs a non-zero pump series")
     # np.argmax returns the earliest index on ties
-    return float(record.t[int(np.argmax(intensity))]
-                 - record.t[int(np.argmax(record.jp_out))])
+    delay = (record.t[np.argmax(intensity, axis=-1)]
+             - record.t[np.argmax(record.jp_out)])
+    return np.where(emits, delay, np.nan)
 
 
 def histogram(values, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +113,6 @@ class EnsembleSpec:
     n_realizations: int = 1000
     master_seed: int = 0
     workers: int = 1
-    noise_enabled: bool = True
 
     def __post_init__(self):
         if self.n_realizations < 1:
@@ -142,51 +152,53 @@ class EnsembleSummary:
     master_seed: int
     max_trace_error: float
 
+    def directions(self) -> list[tuple[str, str, DirectionSummary]]:
+        """(attribute, suffix, summary) of each direction, forward first."""
+        return [(attr, tag, getattr(self, attr)) for attr, tag in DIRECTIONS]
 
-@dataclass
+
+# the per-direction quantities of a realization, in realizations.csv order
+QUANTITIES = ("area", "photons", "peak", "delay")
+
+
+@dataclass(frozen=True, slots=True)
 class RealizationScalars:
-    """Per-realization reductions persisted for downstream fitting."""
+    """Per-realization reductions persisted for downstream fitting.
+
+    `values` has one row per quantity (QUANTITIES order) and one column per
+    direction (DIRECTIONS order); each quantity reads as its row.  One small
+    array per realization keeps an ensemble's list of them compact.
+    """
 
     index: int
-    area_fwd: float
-    area_bwd: float
-    photons_fwd: float
-    photons_bwd: float
-    peak_fwd: float
-    peak_bwd: float
-    delay_fwd: float | None
-    delay_bwd: float | None
+    values: np.ndarray
 
-    FIELDS = ("index", "area_fwd", "area_bwd", "photons_fwd", "photons_bwd",
-              "peak_fwd", "peak_bwd", "delay_fwd", "delay_bwd")
+    area = property(lambda self: self.values[0])      # pulse area (rad)
+    photons = property(lambda self: self.values[1])   # emitted photons
+    peak = property(lambda self: self.values[2])      # max |Omega|^2
+    # delay after the pump peak (ps); NaN for a direction without emission
+    delay = property(lambda self: self.values[3])
 
 
 def _reduce_one(spec: EnsembleSpec, index: int):
-    """Run one realization and reduce it to scalars + per-t/per-w arrays."""
-    noise = NoiseSpec(master_seed=spec.master_seed, realization_index=index,
-                      enabled=spec.noise_enabled)
+    """Run one realization and reduce both directions at once.
+
+    Returns (index, scalars, |Omega|^2 (2, nt), spectrum (2, nw), max trace
+    error), rows in DIRECTIONS order.
+    """
+    noise = NoiseSpec(master_seed=spec.master_seed, realization_index=index)
     rec = run(spec.scenario, spec.grid, noise)
     dt = spec.grid.dt
     tr = spec.scenario.transition
-    r = spec.scenario.medium.r
-    _, s_fwd = spectrum(rec.omega_plus_out, dt)
-    _, s_bwd = spectrum(rec.omega_minus_out, dt)
-    scalars = RealizationScalars(
-        index=index,
-        area_fwd=pulse_area(rec.omega_plus_out, dt),
-        area_bwd=pulse_area(rec.omega_minus_out, dt),
-        photons_fwd=oracle.photons_from_envelope(rec.omega_plus_out, dt, r,
-                                                 tr.d, tr.omega),
-        photons_bwd=oracle.photons_from_envelope(rec.omega_minus_out, dt, r,
-                                                 tr.d, tr.omega),
-        peak_fwd=float(np.max(np.abs(rec.omega_plus_out) ** 2)),
-        peak_bwd=float(np.max(np.abs(rec.omega_minus_out) ** 2)),
-        delay_fwd=delay_time(rec, "forward"),
-        delay_bwd=delay_time(rec, "backward"),
-    )
-    return (index, scalars, np.abs(rec.omega_plus_out) ** 2,
-            np.abs(rec.omega_minus_out) ** 2, s_fwd, s_bwd,
-            rec.max_trace_error)
+    intensity = np.abs(rec.omega_out) ** 2
+    _, spec_out = spectrum(rec.omega_out, dt)
+    scalars = RealizationScalars(index, np.array([
+        pulse_area(rec.omega_out, dt),
+        oracle.photons_from_envelope(rec.omega_out, dt, spec.scenario.medium.r,
+                                     tr.d, tr.omega),
+        np.max(intensity, axis=-1),
+        delay_time(rec)]))
+    return index, scalars, intensity, spec_out, rec.max_trace_error
 
 
 def _bootstrap_ci(values: np.ndarray, seed: int, stat=np.mean,
@@ -207,7 +219,7 @@ def _direction_summary(areas, photons, peaks, delays, t_end, tau_i,
                        sum_intensity, sum_spectrum, n_ok, seed) -> DirectionSummary:
     over = (areas >= HALF_PI).astype(float)
     prob = float(np.mean(over))
-    delays_valid = np.array([d for d in delays if d is not None])
+    delays_valid = delays[~np.isnan(delays)]
     ph_counts, ph_edges = histogram(photons, photon_bin_edges(photons))
     d_edges = np.linspace(0.0, max(t_end - tau_i, 1.0e-12), DELAY_BINS + 1)
     if delays_valid.size:
@@ -235,11 +247,12 @@ def _direction_summary(areas, photons, peaks, delays, t_end, tau_i,
 def realization_outcomes(specs: list[EnsembleSpec]) -> Iterator:
     """Outcomes of every (point, realization index) task, in that order.
 
-    An outcome is what `_reduce_one` returns, or the `SolverError` it
-    raised.  With more than one worker the tasks run on a single process
-    pool that keeps IN_FLIGHT_PER_WORKER * workers of them in flight, so
-    workers compute ahead while the consumer folds and writes what it has;
-    otherwise each `_reduce_one` runs lazily when its outcome is pulled.
+    An outcome is what `_reduce_one` returns, or a `SolverError` charged to
+    the realization's index for any exception it raised.  With more than
+    one worker the tasks run on a single process pool that keeps
+    IN_FLIGHT_PER_WORKER * workers of them in flight, so workers compute
+    ahead while the consumer folds and writes what it has; otherwise each
+    `_reduce_one` runs lazily when its outcome is pulled.
     A worker that dies breaks the pool: the first task found broken and
     every task after it become `SolverError`s that name their index and
     the cause, and nothing more is submitted.  Closing the stream, or an
@@ -252,9 +265,10 @@ def realization_outcomes(specs: list[EnsembleSpec]) -> Iterator:
     if workers == 1 or sum(spec.n_realizations for spec in specs) == 1:
         for spec, index in tasks:
             try:
-                yield _reduce_one(spec, index)
-            except SolverError as err:
-                yield err
+                outcome = _reduce_one(spec, index)
+            except Exception as err:
+                outcome = _charge(index, err)
+            yield outcome
         return
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
@@ -266,17 +280,25 @@ def realization_outcomes(specs: list[EnsembleSpec]) -> Iterator:
                 window.append(_submit(pool, *task))
             try:
                 outcome = future.result()
-            except SolverError as err:
-                outcome = err
             except BrokenProcessPool as err:
                 for lost in itertools.chain((index,), (i for i, _ in window),
                                             (i for _, i in tasks)):
                     yield SolverError(f"realization {lost}: lost, a pool "
                                       f"worker died ({err})")
                 return
+            except Exception as err:
+                outcome = _charge(index, err)
             yield outcome
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _charge(index: int, err: Exception) -> SolverError:
+    """An exception raised while computing a realization, as the failure of
+    that realization alone (a SolverError already names its index)."""
+    if isinstance(err, SolverError):
+        return err
+    return SolverError(f"realization {index}: {type(err).__name__}: {err}")
 
 
 def _submit(pool: ProcessPoolExecutor, spec: EnsembleSpec, index: int
@@ -311,11 +333,8 @@ def run_ensemble(spec: EnsembleSpec, outcomes: Iterator | None = None
 def _fold(spec: EnsembleSpec, outcomes: Iterator
           ) -> tuple[EnsembleSummary, list[RealizationScalars]]:
     nt = spec.grid.nsteps + 1
-    nw = SPECTRUM_PAD * nt
-    sum_if = np.zeros(nt)
-    sum_ib = np.zeros(nt)
-    sum_sf = np.zeros(nw)
-    sum_sb = np.zeros(nw)
+    sum_intensity = np.zeros((len(DIRECTIONS), nt))
+    sum_spectrum = np.zeros((len(DIRECTIONS), SPECTRUM_PAD * nt))
     scalars: list[RealizationScalars] = []
     failures: dict[int, str] = {}
     max_trace = 0.0
@@ -324,12 +343,10 @@ def _fold(spec: EnsembleSpec, outcomes: Iterator
         if isinstance(outcome, SolverError):
             failures[index] = str(outcome)
             continue
-        _, sc, intf, intb, sf, sb, trace_err = outcome
+        _, sc, intensity, spec_out, trace_err = outcome
         scalars.append(sc)
-        sum_if += intf
-        sum_ib += intb
-        sum_sf += sf
-        sum_sb += sb
+        sum_intensity += intensity
+        sum_spectrum += spec_out
         max_trace = max(max_trace, trace_err)
 
     n_failed = len(failures)
@@ -342,21 +359,17 @@ def _fold(spec: EnsembleSpec, outcomes: Iterator
     w_axis, _ = spectrum(np.zeros(nt, dtype=complex), spec.grid.dt)
     tau_i = spec.scenario.pump.tau_i
     t_end = spec.grid.t_end
-    seed_fwd = spec.master_seed ^ 0x5F5F
-    fwd = _direction_summary(
-        np.array([s.area_fwd for s in scalars]),
-        np.array([s.photons_fwd for s in scalars]),
-        np.array([s.peak_fwd for s in scalars]),
-        [s.delay_fwd for s in scalars],
-        t_end, tau_i, sum_if, sum_sf, n_ok, seed_fwd)
-    bwd = _direction_summary(
-        np.array([s.area_bwd for s in scalars]),
-        np.array([s.photons_bwd for s in scalars]),
-        np.array([s.peak_bwd for s in scalars]),
-        [s.delay_bwd for s in scalars],
-        t_end, tau_i, sum_ib, sum_sb, n_ok, seed_fwd + 2)
+    # direction d bootstraps with seeds seed + 2d and seed + 2d + 1
+    seed = spec.master_seed ^ 0x5F5F
+    # (quantity, direction, realization)
+    stacked = np.stack([s.values for s in scalars], axis=-1)
+    directions = {
+        attr: _direction_summary(*stacked[:, d], t_end, tau_i,
+                                 sum_intensity[d], sum_spectrum[d], n_ok,
+                                 seed + 2 * d)
+        for d, (attr, _) in enumerate(DIRECTIONS)}
     summary = EnsembleSummary(
-        t=spec.grid.times, spectral_axis=w_axis, forward=fwd, backward=bwd,
+        t=spec.grid.times, spectral_axis=w_axis, **directions,
         n_realizations=n_ok, n_failed=n_failed,
         master_seed=spec.master_seed, max_trace_error=max_trace)
     return summary, scalars

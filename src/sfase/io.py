@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import platform
 from pathlib import Path
@@ -11,7 +12,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .ensemble import EnsembleSummary, RealizationScalars
+from .ensemble import (QUANTITIES, EnsembleSummary, RealizationScalars,
+                       direction_names)
 from .solver import NOISE_STREAM, RunRecord
 
 
@@ -30,23 +32,25 @@ def write_json(path: str | Path, payload: dict, sort_keys: bool = True) -> None:
 
 def write_run_record(rec: RunRecord, path: str | Path) -> None:
     """Boundary series as columnar CSV (t, Re/Im Omega+, Re/Im Omega-, J_p)."""
+    plus, minus = rec.omega_out
     write_csv(path,
               ["t_ps", "re_omega_plus", "im_omega_plus",
                "re_omega_minus", "im_omega_minus", "jp_out"],
-              [rec.t,
-               rec.omega_plus_out.real, rec.omega_plus_out.imag,
-               rec.omega_minus_out.real, rec.omega_minus_out.imag,
+              [rec.t, plus.real, plus.imag, minus.real, minus.imag,
                rec.jp_out])
 
 
 def write_realizations(scalars: list[RealizationScalars], path: str | Path) -> None:
+    """One row per realization: its index, then each quantity once per
+    direction; a NaN (the delay of a direction without emission) is an
+    empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RealizationScalars.FIELDS)
+        writer.writerow(["index", *(name for q in QUANTITIES
+                                    for name in direction_names(q))])
         for s in scalars:
-            writer.writerow(["" if (v := getattr(s, f)) is None
-                             else repr(float(v)) if isinstance(v, float) else v
-                             for f in RealizationScalars.FIELDS])
+            writer.writerow([s.index, *("" if math.isnan(v) else repr(v)
+                                        for v in s.values.ravel().tolist())])
 
 
 def read_xy_csv(path: str | Path, x_col: str, y_col: str
@@ -82,23 +86,22 @@ def write_ensemble_outputs(summary: EnsembleSummary,
                            out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    directions = summary.directions()
     write_json(out / "summary.json", {
         "n_realizations": summary.n_realizations,
         "n_failed": summary.n_failed,
         "master_seed": summary.master_seed,
         "max_trace_error": summary.max_trace_error,
-        "forward": _direction_stats(summary.forward),
-        "backward": _direction_stats(summary.backward),
+        **{attr: _direction_stats(d) for attr, _, d in directions},
     })
     write_csv(out / "avg_intensity.csv",
-              ["t_ps", "avg_intensity_fwd", "avg_intensity_bwd"],
-              [summary.t, summary.forward.avg_temporal_intensity,
-               summary.backward.avg_temporal_intensity])
+              ["t_ps", *direction_names("avg_intensity")],
+              [summary.t, *(d.avg_temporal_intensity for _, _, d in directions)])
     write_csv(out / "avg_spectrum.csv",
-              ["detuning_rad_per_ps", "avg_spectrum_fwd", "avg_spectrum_bwd"],
-              [summary.spectral_axis, summary.forward.avg_spectral_intensity,
-               summary.backward.avg_spectral_intensity])
-    for tag, d in (("fwd", summary.forward), ("bwd", summary.backward)):
+              ["detuning_rad_per_ps", *direction_names("avg_spectrum")],
+              [summary.spectral_axis,
+               *(d.avg_spectral_intensity for _, _, d in directions)])
+    for _, tag, d in directions:
         write_csv(out / f"histogram_photons_{tag}.csv",
                   ["bin_left", "bin_right", "count"],
                   [d.photon_hist_edges[:-1], d.photon_hist_edges[1:],

@@ -224,17 +224,20 @@ def pi_half_photons(r: float, lam: float) -> float:
 
 def photons_from_envelope(omega_series, dt: float, r: float, d: float,
                           omega: float,
-                          constants: PhysicalConstants = CONSTANTS) -> float:
+                          constants: PhysicalConstants = CONSTANTS):
     """Convert a Rabi-envelope record to an emitted photon number.
 
     n_e = c eps0 pi r^2 hbar * integral |Omega|^2 dt / (2 d^2 omega), with
     internal units (Omega rad/ps, dt ps, r mm, omega rad/ps) converted to SI.
+    The integral runs over the last (time) axis: a float for one series,
+    one value per row for stacked series.
     """
     series = np.asarray(omega_series)
-    intg = float(np.sum(np.abs(series) ** 2) * dt)     # rad^2/ps
+    intg = np.sum(np.abs(series) ** 2, axis=-1) * dt   # rad^2/ps
     intg_si = intg * 1.0e12                            # rad^2/s
     r_si = r * 1.0e-3
     omega_si = omega * 1.0e12
     c_si = constants.c * 1.0e9
-    return (c_si * constants.eps0 * math.pi * r_si**2 * constants.hbar
-            * intg_si / (2.0 * d**2 * omega_si))
+    photons = (c_si * constants.eps0 * math.pi * r_si**2 * constants.hbar
+               * intg_si / (2.0 * d**2 * omega_si))
+    return float(photons) if photons.ndim == 0 else photons

@@ -7,10 +7,8 @@ boundary, and never used internally.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace as replace_fields
-from pathlib import Path
 
 # fixed constants, internal units
 C_MM_PER_PS = 0.299792458        # speed of light (mm/ps)
@@ -272,38 +270,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         tau_i=need("tau_i_ps"),
     )
     return Scenario(CONSTANTS, transition, medium, pump)
-
-
-def scenario_to_dict(scen: Scenario) -> dict:
-    t, m, p = scen.transition, scen.medium, scen.pump
-    return {
-        "tau2_ps": t.tau2,
-        "omega_rad_thz": t.omega,
-        "lambda_nm": t.lam / NM_TO_MM,
-        "d_coulomb_m": t.d,
-        "sigma_r_m2": t.sigma_r / M2_TO_MM2,
-        "n_per_mm3": m.n,
-        "L_mm": m.L,
-        "sigma_m2": m.sigma / M2_TO_MM2,
-        "r_um": m.r / UM_TO_MM,
-        "n_p": p.n_p,
-        "tau_p_fs": p.tau_p / FS_TO_PS,
-        "tau_i_ps": p.tau_i,
-    }
-
-
-def load_scenario(path: str | Path) -> Scenario:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ParameterError(f"{path}: not valid JSON ({err})") from err
-    if not isinstance(raw, dict):
-        raise ParameterError(f"{path}: scenario file must hold a flat JSON object")
-    return scenario_from_dict(raw)
-
-
-def save_scenario(scen: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scen), indent=2) + "\n")
 
 
 # largest ground-state share the pump may excite before the t = 0 start

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io, oracle
-from .ensemble import EnsembleSpec, realization_outcomes, run_ensemble
+from .ensemble import (EnsembleSpec, direction_names, realization_outcomes,
+                       run_ensemble)
 from .fitting import fit
 from .oracle import max_inversion
 from .params import (REPLACEABLE, Scenario, ParameterError,
@@ -59,7 +60,7 @@ class ExperimentPlan:
     fit_family: str | None = None
     fit_data: str | None = None
     fit_x_col: str = "alpha"
-    fit_y_col: str = "peak_fwd"
+    fit_y_col: str = direction_names("peak")[0]     # forward peak
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -128,15 +129,12 @@ def _ensemble_point(spec: EnsembleSpec, out_dir: Path,
     of outcomes if given); its map row."""
     summary, scalars = run_ensemble(spec, outcomes)
     io.write_ensemble_outputs(summary, scalars, out_dir)
-    return {
-        "alpha": spec.scenario.derived.alpha,
-        "prob_fwd": summary.forward.threshold_probability,
-        "prob_bwd": summary.backward.threshold_probability,
-        "peak_fwd_mean": summary.forward.peak_intensity_mean,
-        "peak_bwd_mean": summary.backward.peak_intensity_mean,
-        "delay_fwd_mean": summary.forward.delay_mean,
-        "delay_bwd_mean": summary.backward.delay_mean,
-    }
+    row = {"alpha": spec.scenario.derived.alpha}
+    for _, tag, d in summary.directions():
+        row[f"prob_{tag}"] = d.threshold_probability
+        row[f"peak_{tag}_mean"] = d.peak_intensity_mean
+        row[f"delay_{tag}_mean"] = d.delay_mean
+    return row
 
 
 def _run_sweep(plan: ExperimentPlan, out: Path, points: list[dict]) -> None:

@@ -301,15 +301,13 @@ def step(state: FieldState, scen: Scenario, grid: GridSpec,
 
 @dataclass
 class RunRecord:
-    """Boundary time series of one realization plus seed metadata."""
+    """Boundary time series of one realization."""
 
     t: np.ndarray                    # shared time axis (ps)
-    omega_plus_out: np.ndarray       # Omega+(t, L), complex (rad/ps)
-    omega_minus_out: np.ndarray      # Omega-(t, 0), complex (rad/ps)
+    # complex (2, nsteps+1), rad/ps: rows Omega+(t, L) and Omega-(t, 0), in
+    # the row order of FieldState.omega
+    omega_out: np.ndarray
     jp_out: np.ndarray               # J_p(t, L) (photons/(ps mm^2))
-    master_seed: int | None
-    realization_index: int | None
-    noise_enabled: bool
     max_trace_error: float = 0.0
     max_physicality_violation: float = 0.0
     inversion_out: np.ndarray | None = None      # I(t, z_probe) if requested
@@ -326,8 +324,7 @@ def run(scen: Scenario, grid: GridSpec, noise: NoiseSpec | None = None, *,
     """Integrate one realization from t=0 to t_end, recording boundary series."""
     state = initialize(scen, grid, mode=init_mode, rho21_seed=rho21_seed)
     nsteps = grid.nsteps
-    op_out = np.zeros(nsteps + 1, dtype=complex)
-    om_out = np.zeros(nsteps + 1, dtype=complex)
+    omega_out = np.zeros((2, nsteps + 1), dtype=complex)
     jp_out = np.zeros(nsteps + 1)
     inv_out = np.zeros(nsteps + 1) if inversion_node is not None else None
     snap_t, snaps = [], []
@@ -348,8 +345,8 @@ def run(scen: Scenario, grid: GridSpec, noise: NoiseSpec | None = None, *,
         except SolverError as err:
             idx = noise.realization_index if noise is not None else None
             raise SolverError(f"realization {idx}: {err}") from err
-        op_out[i + 1] = state.omega[0, -1]
-        om_out[i + 1] = state.omega[1, 0]
+        omega_out[0, i + 1] = state.omega[0, -1]
+        omega_out[1, i + 1] = state.omega[1, 0]
         jp_out[i + 1] = state.jp[-1]
         if inv_out is not None:
             inv_out[i + 1] = (state.pop[2, inversion_node]
@@ -363,10 +360,7 @@ def run(scen: Scenario, grid: GridSpec, noise: NoiseSpec | None = None, *,
                     "(stochastic coherence injection)", max_phys)
     return RunRecord(
         t=grid.times,
-        omega_plus_out=op_out, omega_minus_out=om_out, jp_out=jp_out,
-        master_seed=noise.master_seed if noise is not None else None,
-        realization_index=noise.realization_index if noise is not None else None,
-        noise_enabled=bool(noise is not None and noise.enabled),
+        omega_out=omega_out, jp_out=jp_out,
         max_trace_error=max_trace,
         max_physicality_violation=max_phys,
         inversion_out=inv_out,

@@ -3,14 +3,15 @@
 Eight criteria, one test each, each printing a single
 ``criterion N: PASS/FAIL - detail`` line (visible with ``pytest -s``).
 The ensemble-heavy criteria (5, 6, 7) dominate the runtime (about 5 min on
-two CPUs, their fixtures run realizations on a two-process pool); everything
-else runs in seconds.
+two CPUs; each of their fixtures streams its realizations through one
+two-process pool of the production executor); everything else runs in
+seconds.
 """
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from contextlib import closing
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -19,16 +20,16 @@ from scipy.signal import find_peaks
 from sfase import oracle
 from sfase.ensemble import (
     EnsembleSpec,
-    delay_time,
     detect_spectral_splitting,
     pulse_area,
+    realization_outcomes,
     run_ensemble,
     spectrum,
 )
 from sfase.fitting import classify_regime, fit
 from sfase.params import gamma_from_dipole, solid_angle
 from sfase.oracle import max_inversion
-from sfase.solver import NoiseSpec, make_grid, noise_normals, run
+from sfase.solver import NoiseSpec, SolverError, make_grid, noise_normals, run
 
 LN2 = math.log(2.0)
 HALF_PI = math.pi / 2.0
@@ -40,18 +41,19 @@ def _report(num: int, ok: bool, detail: str) -> None:
     print(f"\ncriterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _realizations(scen, grid, master_seed: int, n: int) -> list:
-    """Records of realizations 0..n-1 of one seed, in index order.
+def _reductions(specs: list[EnsembleSpec]):
+    """Every spec's per-realization reductions, in (spec, index) order.
 
-    Every realization is a pure function of its noise coordinates, so
-    spreading them over a small process pool gives the same records, bit
-    for bit, as a serial loop over `run`.
+    They come from one stream of the production executor, which runs the
+    realizations of all specs on a single pool; each item is what
+    `ensemble._reduce_one` returns, with rows (forward, backward).  A
+    failed realization fails the fixture.
     """
-    noises = [NoiseSpec(master_seed=master_seed, realization_index=k)
-              for k in range(n)]
-    job = partial(run, scen, grid, check_stride=100)
-    with ProcessPoolExecutor(max_workers=FIXTURE_WORKERS) as pool:
-        return list(pool.map(job, noises))
+    with closing(realization_outcomes(specs)) as outcomes:
+        for outcome in outcomes:
+            if isinstance(outcome, SolverError):
+                raise outcome
+            yield outcome
 
 
 def _all(checks: list[tuple[str, bool]]) -> tuple[bool, str]:
@@ -181,16 +183,19 @@ N_SCAN = 100
 @pytest.fixture(scope="module")
 def alpha_scan(fig5):
     grid = make_grid(fig5)
+    specs = [EnsembleSpec(
+        scenario=fig5.replace(
+            n=alpha / (fig5.transition.sigma_r * fig5.medium.L)),
+        grid=grid, n_realizations=N_SCAN, master_seed=7,
+        workers=FIXTURE_WORKERS) for alpha in ALPHAS]
+    results = _reductions(specs)
     peak_avg, mean_delay = [], []
-    for alpha in ALPHAS:
-        n = alpha / (fig5.transition.sigma_r * fig5.medium.L)
-        scen = fig5.replace(n=n)
+    for _ in specs:
         sum_i = np.zeros(len(grid.times))
         delays = []
-        for rec in _realizations(scen, grid, 7, N_SCAN):
-            sum_i += np.abs(rec.omega_plus_out) ** 2
-            d = delay_time(rec)
-            delays.append(math.nan if d is None else d)
+        for _, scalars, intensity, _, _ in islice(results, N_SCAN):
+            sum_i += intensity[0]
+            delays.append(scalars.delay[0])
         peak_avg.append(float((sum_i / N_SCAN).max()))
         mean_delay.append(float(np.nanmean(delays)))
     return np.array(peak_avg), np.array(mean_delay)
@@ -231,17 +236,23 @@ def test_criterion_5_regime_transition(alpha_scan):
 
 @pytest.fixture(scope="module")
 def asymmetry(fig5):
-    out = {}
+    specs = {}
     for length, n_real in ((0.25, 40), (0.025, 80)):
         n = 1500.0 / (fig5.transition.sigma_r * length)
         scen = fig5.replace(L=length, n=n)
-        grid = make_grid(scen)
+        specs[length] = EnsembleSpec(
+            scenario=scen, grid=make_grid(scen), n_realizations=n_real,
+            master_seed=11, workers=FIXTURE_WORKERS)
+    results = _reductions(list(specs.values()))
+    out = {}
+    for length, spec in specs.items():
+        n_real = spec.n_realizations
         fwd_areas, bwd_areas, lobe_ratios = [], [], []
-        sum_bwd = np.zeros(len(grid.times))
-        for rec in _realizations(scen, grid, 11, n_real):
-            fwd_areas.append(pulse_area(rec.omega_plus_out, grid.dt))
-            bwd_areas.append(pulse_area(rec.omega_minus_out, grid.dt))
-            i_bwd = np.abs(rec.omega_minus_out) ** 2
+        sum_bwd = np.zeros(len(spec.grid.times))
+        for _, scalars, intensity, _, _ in islice(results, n_real):
+            fwd_areas.append(scalars.area[0])
+            bwd_areas.append(scalars.area[1])
+            i_bwd = intensity[1]
             peaks, _ = find_peaks(i_bwd, height=0.1 * i_bwd.max())
             heights = np.sort(i_bwd[peaks])[::-1]
             lobe_ratios.append(
@@ -287,18 +298,22 @@ def test_criterion_6_forward_backward_asymmetry(asymmetry):
 
 @pytest.fixture(scope="module")
 def length_points(fig5):
-    out = {}
+    specs = {}
     for label, length in (("c", 0.25), ("e", 0.5), ("g", 0.75)):
         scen = fig5.replace(L=length)
-        grid = make_grid(scen)
-        sum_s = None
+        specs[label] = EnsembleSpec(scenario=scen, grid=make_grid(scen),
+                                    n_realizations=12, master_seed=5,
+                                    workers=FIXTURE_WORKERS)
+    results = _reductions(list(specs.values()))
+    out = {}
+    for label, spec in specs.items():
+        grid = spec.grid
+        w_axis, _ = spectrum(np.zeros(len(grid.times)), grid.dt)
+        sum_s = np.zeros(len(w_axis))
         photons = []
-        for rec in _realizations(scen, grid, 5, 12):
-            w_axis, s = spectrum(rec.omega_plus_out, grid.dt)
-            sum_s = s if sum_s is None else sum_s + s
-            photons.append(oracle.photons_from_envelope(
-                rec.omega_plus_out, grid.dt, scen.medium.r,
-                scen.transition.d, scen.transition.omega))
+        for _, scalars, _, s, _ in islice(results, 12):
+            sum_s += s[0]
+            photons.append(scalars.photons[0])
         resolution = 2.0 * math.pi / (grid.dt * len(grid.times))
         out[label] = {
             "median_photons": float(np.median(photons)),
@@ -342,8 +357,8 @@ def test_criterion_8_numerical_properties(toy):
     def burst(grid_):
         r = run(toy, grid_, None, pump_enabled=False, init_mode="inverted",
                 rho21_seed=1e-3)
-        intensity = np.abs(r.omega_plus_out) ** 2
-        return (pulse_area(r.omega_plus_out, grid_.dt),
+        intensity = np.abs(r.omega_out[0]) ** 2
+        return (pulse_area(r.omega_out[0], grid_.dt),
                 float(intensity.max()),
                 float(r.t[int(np.argmax(intensity))]))
 
@@ -362,17 +377,16 @@ def test_criterion_8_numerical_properties(toy):
              and float(draws.var()) == pytest.approx(1.0, rel=0.01))
 
     # discrete Parseval identity of the spectral estimator
-    _, s = spectrum(rec.omega_plus_out, grid.dt)
+    _, s = spectrum(rec.omega_out[0], grid.dt)
     d_omega = 2.0 * math.pi / (grid.dt * len(s))
     lhs = float(np.sum(s)) * d_omega / (2.0 * math.pi)
-    rhs = grid.dt * float(np.sum(np.abs(rec.omega_plus_out) ** 2))
+    rhs = grid.dt * float(np.sum(np.abs(rec.omega_out[0]) ** 2))
     parseval_ok = lhs == pytest.approx(rhs, rel=1e-3)
 
     # bitwise reproducibility of a seeded realization
     rec2 = run(toy, grid, noise, check_stride=1)
-    bitwise_ok = (np.array_equal(rec.omega_plus_out, rec2.omega_plus_out)
-                  and np.array_equal(rec.omega_minus_out,
-                                     rec2.omega_minus_out))
+    bitwise_ok = (np.array_equal(rec.omega_out[0], rec2.omega_out[0])
+                  and np.array_equal(rec.omega_out[1], rec2.omega_out[1]))
 
     # worker-count independence of ensemble statistics
     s1, _ = run_ensemble(EnsembleSpec(scenario=toy, grid=grid,

@@ -313,6 +313,30 @@ def test_ensemble_dead_worker_exits_runtime(tmp_path, toy_file, monkeypatch,
     assert "pool worker died" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+def test_sweep_exception_in_realization_gives_error_rows(tmp_path, toy_file,
+                                                         monkeypatch, workers):
+    # an exception other than SolverError is charged to the realization
+    # that raised it: each point loses realization 1, breaks its 1% budget
+    # and becomes an error row, and the sweep still writes map.csv
+    real_run = ensemble.run
+
+    def run_raising_at_1(scen, grid, noise):
+        if noise.realization_index == 1:
+            raise FloatingPointError("overflow encountered in multiply")
+        return real_run(scen, grid, noise)
+
+    monkeypatch.setattr(ensemble, "run", run_raising_at_1)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--kind", "L", "--scenario", toy_file,
+                 "--out", str(out), "--l-grid", "0.02,0.03",
+                 "--fixed-alpha", "480", "--ne", "3",
+                 "--workers", str(workers)]) == EXIT_RUNTIME
+    assert _map_errors(out) == [
+        "1/3 realizations failed: realization 1: FloatingPointError: "
+        "overflow encountered in multiply"] * 2
+
+
 def test_sweep_point_without_grid_is_error_row(tmp_path, toy_file):
     # nz = 12 resolves L = 0.02 mm but not L = 0.05 mm
     out = tmp_path / "sweep"

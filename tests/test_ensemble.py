@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sfase import ensemble
+from sfase import ensemble, io, oracle
 from sfase.ensemble import (
     EnsembleSpec,
     RealizationScalars,
@@ -23,11 +23,9 @@ from sfase.solver import NoiseSpec, RunRecord, SolverError, make_grid, run
 def _fake_record(t, omega_plus, omega_minus=None, jp=None):
     n = len(t)
     return RunRecord(
-        t=t, omega_plus_out=np.asarray(omega_plus, dtype=complex),
-        omega_minus_out=(np.zeros(n, dtype=complex) if omega_minus is None
-                         else np.asarray(omega_minus, dtype=complex)),
-        jp_out=np.zeros(n) if jp is None else np.asarray(jp, dtype=float),
-        master_seed=0, realization_index=0, noise_enabled=False)
+        t=t, omega_out=np.array([omega_plus, np.zeros(n) if omega_minus is None
+                                 else omega_minus], dtype=complex),
+        jp_out=np.zeros(n) if jp is None else np.asarray(jp, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +79,7 @@ def test_delay_time_zero_for_pump_shaped_pulse():
     t = np.linspace(0.0, 5.0, 501)
     jp = np.exp(-((t - 2.0) ** 2))
     rec = _fake_record(t, omega_plus=np.sqrt(jp), jp=jp)
-    assert delay_time(rec, "forward") == 0.0
+    assert delay_time(rec)[0] == 0.0
 
 
 def test_delay_time_positive_shift():
@@ -89,14 +87,15 @@ def test_delay_time_positive_shift():
     jp = np.exp(-(((t - 1.0) / 0.1) ** 2))
     omega = np.exp(-(((t - 2.5) / 0.2) ** 2))
     rec = _fake_record(t, omega_plus=omega, jp=jp)
-    assert delay_time(rec, "forward") == pytest.approx(1.5, abs=0.02)
+    assert delay_time(rec)[0] == pytest.approx(1.5, abs=0.02)
 
 
 def test_delay_time_missing_for_dark_run():
     t = np.linspace(0.0, 5.0, 501)
     rec = _fake_record(t, omega_plus=np.zeros(501))
-    assert delay_time(rec, "forward") is None
-    assert delay_time(rec, "backward") is None
+    forward, backward = delay_time(rec)
+    assert math.isnan(forward)
+    assert math.isnan(backward)
 
 
 def test_histogram_counts_everything():
@@ -133,10 +132,10 @@ def test_ensemble_scalar_consistency(toy, toy_ensemble):
     assert summary.n_realizations == 8
     assert summary.n_failed == 0
     assert [s.index for s in scalars] == list(range(8))
-    areas = np.array([s.area_fwd for s in scalars])
+    areas = np.array([s.area[0] for s in scalars])
     assert summary.forward.threshold_probability == pytest.approx(
         float(np.mean(areas >= math.pi / 2)))
-    peaks = np.array([s.peak_fwd for s in scalars])
+    peaks = np.array([s.peak[0] for s in scalars])
     assert summary.forward.peak_intensity_mean == pytest.approx(
         float(np.mean(peaks)), rel=1e-12)
 
@@ -147,7 +146,7 @@ def test_ensemble_average_matches_reruns(toy, toy_ensemble):
     acc = np.zeros(grid.nsteps + 1)
     for k in range(8):
         rec = run(toy, grid, NoiseSpec(master_seed=21, realization_index=k))
-        acc += np.abs(rec.omega_plus_out) ** 2
+        acc += np.abs(rec.omega_out[0]) ** 2
     np.testing.assert_allclose(summary.forward.avg_temporal_intensity,
                                acc / 8, rtol=1e-12)
 
@@ -161,7 +160,7 @@ def test_ensemble_schedule_independence(toy, toy_ensemble):
                                   summary2.forward.avg_temporal_intensity)
     np.testing.assert_array_equal(summary1.backward.avg_spectral_intensity,
                                   summary2.backward.avg_spectral_intensity)
-    assert [s.area_fwd for s in scalars1] == [s.area_fwd for s in scalars2]
+    assert [s.area[0] for s in scalars1] == [s.area[0] for s in scalars2]
     assert (summary1.forward.threshold_ci
             == summary2.forward.threshold_ci)
 
@@ -187,11 +186,11 @@ def test_ensemble_spec_validation(toy):
         EnsembleSpec(scenario=toy, grid=grid, workers=0)
 
 
-def _run_failing_at(bad: set[int]):
-    """Stand-in for solver.run: a cheap fixed record, SolverError at bad."""
+def _run_failing_at(bad: set[int], error=SolverError):
+    """Stand-in for solver.run: a cheap fixed record, `error` at bad."""
     def fake_run(scen, grid, noise):
         if noise.realization_index in bad:
-            raise SolverError(f"realization {noise.realization_index}: injected")
+            raise error(f"realization {noise.realization_index}: injected")
         n = grid.nsteps + 1
         return _fake_record(grid.times, omega_plus=np.full(n, 0.1),
                             jp=np.ones(n))
@@ -213,6 +212,12 @@ def test_ensemble_failure_budget(toy, monkeypatch, workers):
     with pytest.raises(SolverError, match=r"^2/100 realizations failed: "
                        r"realization 17: injected; realization 63: injected$"):
         run_ensemble(spec)
+    # any other exception is charged to its realization alone
+    monkeypatch.setattr(ensemble, "run",
+                        _run_failing_at({42}, error=FloatingPointError))
+    summary, scalars = run_ensemble(spec)
+    assert summary.n_failed == 1
+    assert [s.index for s in scalars] == [i for i in range(100) if i != 42]
 
 
 def test_ensemble_memory_flat_in_realizations(toy, monkeypatch):
@@ -235,10 +240,38 @@ def test_ensemble_memory_flat_in_realizations(toy, monkeypatch):
     assert peak(200) <= 1.2 * peak(50)
 
 
-def test_realization_scalar_fields_match_dataclass():
-    # the CSV column list must track the dataclass exactly
-    assert list(RealizationScalars.FIELDS) == list(
-        RealizationScalars.__dataclass_fields__)
+def test_realizations_csv_header_and_missing_delay(tmp_path):
+    # quantity-major columns, forward before backward; a direction without
+    # emission has no delay and gets an empty cell
+    scalars = RealizationScalars(index=3, values=np.array(
+        [[2.0, 0.5], [1.0e9, 0.0], [40.0, 0.25], [0.125, np.nan]]))
+    path = tmp_path / "realizations.csv"
+    io.write_realizations([scalars], path)
+    assert path.read_text().splitlines() == [
+        "index,area_fwd,area_bwd,photons_fwd,photons_bwd,"
+        "peak_fwd,peak_bwd,delay_fwd,delay_bwd",
+        "3,2.0,0.5,1000000000.0,0.0,40.0,0.25,0.125,"]
+
+
+def test_reduce_one_rows_equal_one_dimensional_reductions(toy):
+    # the stacked reductions give, row by row, bitwise the values of the
+    # same reductions applied to each direction's series alone
+    grid = make_grid(toy)
+    spec = EnsembleSpec(scenario=toy, grid=grid, n_realizations=1,
+                        master_seed=21)
+    index, scalars, intensity, spec_out, _ = ensemble._reduce_one(spec, 3)
+    rec = run(toy, grid, NoiseSpec(master_seed=21, realization_index=3))
+    tr = toy.transition
+    assert index == scalars.index == 3
+    for row, series in enumerate(rec.omega_out):
+        assert np.any(series != 0.0)
+        assert scalars.area[row] == pulse_area(series, grid.dt)
+        assert scalars.photons[row] == oracle.photons_from_envelope(
+            series, grid.dt, toy.medium.r, tr.d, tr.omega)
+        assert scalars.peak[row] == float(np.max(np.abs(series) ** 2))
+        np.testing.assert_array_equal(intensity[row], np.abs(series) ** 2)
+        np.testing.assert_array_equal(spec_out[row],
+                                      spectrum(series, grid.dt)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from sfase import params
 from sfase.params import (
     C_MM_PER_PS,
     MediumParams,
@@ -14,10 +13,7 @@ from sfase.params import (
     TransitionParams,
     gain_length,
     gamma_from_dipole,
-    load_scenario,
-    save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     solid_angle,
     validation_warnings,
 )
@@ -166,20 +162,6 @@ def test_gamma_key_alone_accepted(toy_dict):
 def test_replace_rejects_unknown_field(toy):
     with pytest.raises(ParameterError, match="unknown scenario field"):
         toy.replace(voltage=3.0)
-
-
-def test_scenario_roundtrip(tmp_path, fig5):
-    path = tmp_path / "scen.json"
-    save_scenario(fig5, path)
-    again = load_scenario(path)
-    assert again == fig5
-
-
-def test_to_dict_uses_unit_suffixed_keys(fig5):
-    d = scenario_to_dict(fig5)
-    assert d["L_mm"] == 0.5
-    assert d["r_um"] == 2.0
-    assert set(d) <= set(params.SCENARIO_KEYS)
 
 
 def test_validation_warnings_flag_pump_depletion(fig5):

@@ -159,8 +159,8 @@ def test_beer_lambert_weak_pump(toy_dict):
 def test_no_emission_without_noise_or_seed(toy):
     grid = make_grid(toy)
     rec = run(toy, grid, None)
-    assert np.all(rec.omega_plus_out == 0.0)
-    assert np.all(rec.omega_minus_out == 0.0)
+    assert np.all(rec.omega_out[0] == 0.0)
+    assert np.all(rec.omega_out[1] == 0.0)
 
 
 def test_seeded_inversion_amplifies(toy):
@@ -168,7 +168,7 @@ def test_seeded_inversion_amplifies(toy):
     rec = run(toy, grid, None, pump_enabled=False, init_mode="inverted",
               rho21_seed=1e-8)
     # alpha = 480: the tiny coherence seed must grow by many orders
-    assert float(np.max(np.abs(rec.omega_plus_out))) > 1e-3
+    assert float(np.max(np.abs(rec.omega_out[0]))) > 1e-3
 
 
 def test_absorbing_medium_attenuates_injected_pulse(toy):
@@ -181,7 +181,7 @@ def test_absorbing_medium_attenuates_injected_pulse(toy):
     rec = run(toy, grid, None, pump_enabled=False, init_mode="absorbing",
               omega_plus_boundary=boundary)
     energy_in = sum(abs(boundary(t)) ** 2 for t in grid.times) * grid.dt
-    energy_out = float(np.sum(np.abs(rec.omega_plus_out) ** 2) * grid.dt)
+    energy_out = float(np.sum(np.abs(rec.omega_out[0]) ** 2) * grid.dt)
     assert energy_out < 0.5 * energy_in
 
 
@@ -192,7 +192,7 @@ def test_forward_field_causal(fig5):
               check_stride=100)
     transit = fig5.medium.L / fig5.constants.c
     early = rec.t < transit
-    assert np.all(np.abs(rec.omega_plus_out[early]) == 0.0)
+    assert np.all(np.abs(rec.omega_out[0, early]) == 0.0)
     assert np.all(rec.jp_out[early] == 0.0)
 
 
@@ -221,15 +221,15 @@ def test_bitwise_seed_reproducibility(toy):
     noise = NoiseSpec(master_seed=5, realization_index=2)
     a = run(toy, grid, noise)
     b = run(toy, grid, noise)
-    np.testing.assert_array_equal(a.omega_plus_out, b.omega_plus_out)
-    np.testing.assert_array_equal(a.omega_minus_out, b.omega_minus_out)
+    np.testing.assert_array_equal(a.omega_out[0], b.omega_out[0])
+    np.testing.assert_array_equal(a.omega_out[1], b.omega_out[1])
 
 
 def test_different_realizations_differ(toy):
     grid = make_grid(toy)
     a = run(toy, grid, NoiseSpec(master_seed=5, realization_index=0))
     b = run(toy, grid, NoiseSpec(master_seed=5, realization_index=1))
-    assert not np.array_equal(a.omega_plus_out, b.omega_plus_out)
+    assert not np.array_equal(a.omega_out[0], b.omega_out[0])
 
 
 def test_disabled_noise_equals_no_noise(toy):
@@ -237,7 +237,7 @@ def test_disabled_noise_equals_no_noise(toy):
     a = run(toy, grid, NoiseSpec(master_seed=5, realization_index=0,
                                  enabled=False))
     b = run(toy, grid, None)
-    np.testing.assert_array_equal(a.omega_plus_out, b.omega_plus_out)
+    np.testing.assert_array_equal(a.omega_out[0], b.omega_out[0])
 
 
 def test_single_step_matches_run_prefix(toy):
@@ -247,7 +247,7 @@ def test_single_step_matches_run_prefix(toy):
     for _ in range(3):
         state = step(state, toy, grid, noise)
     rec = run(toy, grid, noise)
-    assert state.omega[0, -1] == rec.omega_plus_out[3]
+    assert state.omega[0, -1] == rec.omega_out[0, 3]
     assert state.jp[-1] == rec.jp_out[3]
 
 
