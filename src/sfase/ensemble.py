@@ -64,11 +64,18 @@ def spectrum(omega_series, dt: float,
     series = np.asarray(omega_series, dtype=complex)
     n_pad = pad_factor * series.shape[-1]
     coeffs = dt * np.fft.fft(series, n=n_pad, axis=-1)
+    omega_axis, order = spectral_axis(n_pad, dt)
+    return omega_axis, np.abs(coeffs[..., order]) ** 2
+
+
+def spectral_axis(n_pad: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending detuning axis (rad/ps) of an n_pad-point transform, and the
+    permutation that puts fft output in its order."""
     # fft uses e^{-iwt}; the e^{+iwt} transform is the same set of values on
     # the negated frequency axis
     omega_axis = -2.0 * math.pi * np.fft.fftfreq(n_pad, d=dt)
     order = np.argsort(omega_axis)
-    return omega_axis[order], np.abs(coeffs[..., order]) ** 2
+    return omega_axis[order], order
 
 
 def delay_time(record: RunRecord) -> np.ndarray:
@@ -356,7 +363,7 @@ def _fold(spec: EnsembleSpec, outcomes: Iterator
             + "; ".join(list(failures.values())[:3]))
 
     n_ok = len(scalars)
-    w_axis, _ = spectrum(np.zeros(nt, dtype=complex), spec.grid.dt)
+    w_axis, _ = spectral_axis(SPECTRUM_PAD * nt, spec.grid.dt)
     tau_i = spec.scenario.pump.tau_i
     t_end = spec.grid.t_end
     # direction d bootstraps with seeds seed + 2d and seed + 2d + 1

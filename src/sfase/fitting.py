@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import least_squares
 
 TOL = 1.0e-15
 
@@ -140,6 +139,10 @@ def fit(family: str | ModelFamily, x, y, initial_guess=None,
     relative=True divides residuals by |y| (scale-free fit for positive
     data spanning decades).  Deterministic for identical inputs.
     """
+    # imported here: scipy.optimize takes about 0.2 s to load, and only
+    # the fit command and the regime classifier minimize
+    from scipy.optimize import least_squares
+
     if isinstance(family, str):
         if family not in FAMILIES:
             raise FitError(

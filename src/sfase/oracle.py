@@ -6,13 +6,12 @@ the linearized swept-gain estimate for the forward ASE exponent.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erf
 
 from .params import Scenario, CONSTANTS, PhysicalConstants, depletion_scale
 
@@ -25,6 +24,27 @@ class OracleError(RuntimeError):
 
 class ValidityWarning(UserWarning):
     """An analytic result is being evaluated outside its stated regime."""
+
+
+@functools.cache
+def _scipy_quad():
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad
+
+
+def quad(func, a, b, *, points, epsabs, epsrel, limit):
+    """scipy.integrate.quad with the options this module sets, imported on
+    the first call.
+
+    scipy.integrate (with scipy.linalg and scipy.special) takes about 0.3 s
+    to import, and the solver and ensemble path never integrates.  Every
+    quadrature in this module calls this name, so a tracer or a test can
+    count or replace the calls.  The options are
+    named rather than passed as **kwargs, which would cost about 1 us a
+    call, 5% of a pump-study point.
+    """
+    return _scipy_quad()(func, a, b, points=points, epsabs=epsabs,
+                         epsrel=epsrel, limit=limit)
 
 
 def _pump_peak(scen: Scenario) -> float:
@@ -46,6 +66,8 @@ def jp_analytic(t, z, scen: Scenario):
 
 def rho00_analytic(t, z, scen: Scenario):
     """Ground-state population under the attenuation-free pump (erf form)."""
+    from scipy.special import erf
+
     t = np.asarray(t, dtype=float)
     arg = (t - scen.pump.tau_i - z / scen.constants.c) / scen.pump.tau_p
     return np.exp(-depletion_scale(scen) * (1.0 + erf(arg)))
@@ -91,10 +113,11 @@ def rho22_quadrature(t, scen: Scenario, tol: float = 1.0e-8):
 
     times = np.asarray(t, dtype=float)
     flat = times.ravel()
+    values = flat.tolist()      # plain floats and int indices: cheaper per time
     out = np.zeros_like(flat)
     prev_t = r22 = err = 0.0
-    for k in np.argsort(flat, kind="stable"):
-        ti = float(flat[k])
+    for k in np.argsort(flat, kind="stable").tolist():
+        ti = values[k]
         if ti <= 0.0:
             continue
         val, val_err = interval(prev_t, ti)

@@ -60,7 +60,8 @@ class ExperimentPlan:
     fit_family: str | None = None
     fit_data: str | None = None
     fit_x_col: str = "alpha"
-    fit_y_col: str = direction_names("peak")[0]     # forward peak
+    # default y: the forward mean peak column of a sweep's map.csv
+    fit_y_col: str = f"{direction_names('peak')[0]}_mean"
 
     def __post_init__(self):
         if self.kind not in KINDS:

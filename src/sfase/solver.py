@@ -9,7 +9,10 @@ numerical dispersion).  Per step:
   2. ground-state depletion integrated exactly (the pump rate sigma*J_p can
      exceed 1/dt by orders of magnitude, so an explicit update would blow up);
      the pumped population enters |2> through a Simpson-weighted decay kernel,
-     the already-decayed remainder enters |1>, keeping the trace exact;
+     the already-decayed remainder enters |1>, keeping the trace exact.
+     Once the incident flux has underflowed to 0 and J_p is 0 on every node
+     (the pump has left the medium, or it is disabled), 1-2 are skipped:
+     they would leave J_p = 0 and rho00 unchanged and move no population;
   3. field envelopes advected with the i*eta*rho21 source applied along the
      characteristic by a trapezoidal predictor-corrector;
   4. remaining Bloch terms (decay, coherent coupling) advanced per node with
@@ -238,30 +241,41 @@ def step(state: FieldState, scen: Scenario, grid: GridSpec,
     coh, omega, jp = state.coh, state.omega, state.jp
     pop_new = np.empty_like(state.pop)
 
-    # (1) pump advection with trapezoidal attenuation along the characteristic
-    jp_new = np.empty_like(jp)
-    np.multiply(jp[:-1],
-                np.exp(-n_at * sigma * dz * 0.5 * (r00[:-1] + r00[1:])),
-                out=jp_new[1:])
-    jp_new[0] = pump_boundary(t_new, scen.pump, scen.medium) if pump_enabled else 0.0
+    jp_in = pump_boundary(t_new, scen.pump, scen.medium) if pump_enabled else 0.0
+    if jp_in == 0.0 and not jp.any():
+        # the pump has left the medium (or is off): stages (1)-(2) reduce
+        # exactly to J_p = 0, rho00 unchanged and no influx.  jp is shared
+        # with the input state, which step never writes into.
+        jp_new = jp
+        pop_new[0] = r00
+        influx11 = influx22 = 0.0
+    else:
+        # (1) pump advection with trapezoidal attenuation along the
+        # characteristic
+        jp_new = np.empty_like(jp)
+        np.multiply(jp[:-1],
+                    np.exp(-n_at * sigma * dz * 0.5 * (r00[:-1] + r00[1:])),
+                    out=jp_new[1:])
+        jp_new[0] = jp_in
 
-    # (2) exact ground-state depletion; rates r = sigma*J_p at t, t+dt/2, t+dt
-    rate0 = sigma * jp
-    rate1 = sigma * jp_new
-    rate_m = 0.5 * (rate0 + rate1)
-    r00_half = r00 * np.exp(-0.25 * dt * (rate0 + rate_m))
-    r00_new = np.multiply(r00_half, np.exp(-0.25 * dt * (rate_m + rate1)),
-                          out=pop_new[0])
-    delta = r00 - r00_new
-    # influx into |2> weighted by the decay kernel over the step (Simpson)
-    s0 = rate0 * r00
-    s_mid = rate_m * r00_half
-    s1 = rate1 * r00_new
-    influx22 = (dt / 6.0) * (s0 * math.exp(-gamma * dt)
-                             + 4.0 * s_mid * math.exp(-0.5 * gamma * dt)
-                             + s1)
-    np.minimum(influx22, delta, out=influx22)
-    influx11 = delta - influx22
+        # (2) exact ground-state depletion; rates r = sigma*J_p at t,
+        # t+dt/2, t+dt
+        rate0 = sigma * jp
+        rate1 = sigma * jp_new
+        rate_m = 0.5 * (rate0 + rate1)
+        r00_half = r00 * np.exp(-0.25 * dt * (rate0 + rate_m))
+        r00_new = np.multiply(r00_half, np.exp(-0.25 * dt * (rate_m + rate1)),
+                              out=pop_new[0])
+        delta = r00 - r00_new
+        # influx into |2> weighted by the decay kernel over the step (Simpson)
+        s0 = rate0 * r00
+        s_mid = rate_m * r00_half
+        s1 = rate1 * r00_new
+        influx22 = (dt / 6.0) * (s0 * math.exp(-gamma * dt)
+                                 + 4.0 * s_mid * math.exp(-0.5 * gamma * dt)
+                                 + s1)
+        np.minimum(influx22, delta, out=influx22)
+        influx11 = delta - influx22
 
     # (3) field advection; trapezoidal source needs predicted rho21 at t+dt,
     # which is also the Heun predictor of step (4).  The + envelope moves

@@ -3,6 +3,9 @@ import csv
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,7 +418,7 @@ def test_fit_command(tmp_path):
     x = np.linspace(100, 600, 10)
     y = 0.5 * np.exp(0.02 * x)
     data = tmp_path / "data.csv"
-    io.write_csv(data, ["alpha", "peak_fwd"], [list(x), list(y)])
+    io.write_csv(data, ["alpha", "peak_fwd_mean"], [list(x), list(y)])
     out = tmp_path / "fit"
     assert main(["fit", "--family", "exp_gain", "--data", str(data),
                  "--out", str(out)]) == EXIT_OK
@@ -424,9 +427,21 @@ def test_fit_command(tmp_path):
     assert result["converged"]
 
 
+def test_fit_reads_sweep_map_with_default_columns(tmp_path, toy_file):
+    out = tmp_path / "ln"
+    assert main(["sweep", "--kind", "Ln", "--scenario", toy_file,
+                 "--out", str(out), "--ne", "2", "--l-grid", "0.02,0.03",
+                 "--n-grid", "2e15,2.5e15"]) == EXIT_OK
+    assert main(["fit", "--family", "exp_gain",
+                 "--data", str(out / "map.csv"),
+                 "--out", str(tmp_path / "fit")]) == EXIT_OK
+    result = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    assert len(result["coefficients"]) == 2
+
+
 def test_fit_unknown_family(tmp_path):
     data = tmp_path / "d.csv"
-    io.write_csv(data, ["alpha", "peak_fwd"], [[1, 2, 3], [1, 2, 3]])
+    io.write_csv(data, ["alpha", "peak_fwd_mean"], [[1, 2, 3], [1, 2, 3]])
     assert main(["fit", "--family", "cubic", "--data", str(data),
                  "--out", str(tmp_path / "f")]) == EXIT_CONFIG
 
@@ -450,3 +465,55 @@ def test_read_xy_missing_column(tmp_path):
     io.write_csv(path, ["a", "b"], [[1.0], [2.0]])
     with pytest.raises(ValueError):
         io.read_xy_csv(path, "a", "missing")
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+# scipy subpackages that take most of scipy's import time; only the
+# quadrature oracle and the fits use them
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special",
+               "scipy.linalg")
+
+_IMPORT_PROBE = """
+import json, sys
+heavy = {heavy!r}
+loaded = lambda: [m for m in heavy if m in sys.modules]
+seen = {{}}
+import sfase.cli
+seen["import"] = loaded()
+seen["ensemble"] = sfase.cli.main(["ensemble", "--scenario", {toy!r},
+                                   "--out", {ens!r}, "--ne", "2"])
+seen["after_ensemble"] = loaded()
+seen["oracle"] = sfase.cli.main(["oracle", "fig3a"])
+seen["tp"] = sfase.cli.main(["sweep", "--kind", "Tp", "--scenario", "fig4",
+                             "--out", {tp!r}, "--tp-grid", "20"])
+seen["fit"] = sfase.cli.main(["fit", "--family", "exp_gain",
+                              "--data", {data!r}, "--out", {fit!r}])
+seen["after_all"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_simulation_path_loads_no_heavy_scipy(tmp_path, toy_file):
+    # a fresh interpreter: this one has scipy loaded by other tests
+    data = tmp_path / "data.csv"
+    x = np.linspace(100, 600, 10)
+    io.write_csv(data, ["alpha", "peak_fwd_mean"], [list(x), list(np.exp(x / 50))])
+    code = _IMPORT_PROBE.format(
+        heavy=HEAVY_SCIPY, toy=toy_file, ens=str(tmp_path / "ens"),
+        tp=str(tmp_path / "tp"), data=str(data), fit=str(tmp_path / "fit"))
+    src = str(Path(ensemble.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["ensemble"] == EXIT_OK
+    assert seen["after_ensemble"] == []
+    # the commands that need scipy still load it when they run
+    assert seen["oracle"] == seen["tp"] == seen["fit"] == EXIT_OK
+    assert {"scipy.integrate", "scipy.optimize"} <= set(seen["after_all"])

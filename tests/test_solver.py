@@ -241,14 +241,27 @@ def test_disabled_noise_equals_no_noise(toy):
 
 
 def test_single_step_matches_run_prefix(toy):
-    grid = make_grid(toy)
+    # 18 ps: the pump's incident flux underflows to 0 (27 tau_p after
+    # tau_i) and J_p leaves the medium about 300 steps before the end
+    grid = make_grid(toy, t_end=18.0)
     noise = NoiseSpec(master_seed=9, realization_index=0)
-    state = initialize(toy, grid)
-    for _ in range(3):
-        state = step(state, toy, grid, noise)
+    states = [initialize(toy, grid)]
+    for _ in range(grid.nsteps):
+        states.append(step(states[-1], toy, grid, noise))
     rec = run(toy, grid, noise)
-    assert state.omega[0, -1] == rec.omega_out[0, 3]
-    assert state.jp[-1] == rec.jp_out[3]
+    np.testing.assert_array_equal([s.omega[0, -1] for s in states],
+                                  rec.omega_out[0])
+    np.testing.assert_array_equal([s.omega[1, 0] for s in states],
+                                  rec.omega_out[1])
+    np.testing.assert_array_equal([s.jp[-1] for s in states], rec.jp_out)
+    # once the pump has left the medium, J_p stays 0 and rho00 is frozen
+    # bit for bit
+    exit_step = next(i for i in range(1, len(states))
+                     if not states[i].jp.any())
+    assert 3 < exit_step < grid.nsteps
+    for prev, cur in zip(states[exit_step:], states[exit_step + 1:]):
+        assert not cur.jp.any()
+        assert cur.pop[0].tobytes() == prev.pop[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
