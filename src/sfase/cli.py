@@ -15,7 +15,7 @@ from pathlib import Path
 from .fitting import FitError
 from .io import load_manifest_plan
 from .params import ParameterError, scenario_from_dict, validation_warnings
-from .plans import ExperimentPlan, oracle_report, run_plan
+from .plans import FIT_X_COL, FIT_Y_COL, ExperimentPlan, oracle_report, run_plan
 from .solver import GridError, SolverError, make_grid
 
 EXIT_OK = 0
@@ -111,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     fitp = subs.add_parser("fit", help="fit a model family to CSV data")
     fitp.add_argument("--family", required=True)
     fitp.add_argument("--data", required=True, help="CSV file")
-    fitp.add_argument("--x-col", default=ExperimentPlan.fit_x_col)
-    fitp.add_argument("--y-col", default=ExperimentPlan.fit_y_col)
+    fitp.add_argument("--x-col", default=FIT_X_COL)
+    fitp.add_argument("--y-col", default=FIT_Y_COL)
     fitp.add_argument("--out", required=True)
     fitp.add_argument("--seed", type=int, default=0)
     return parser

@@ -64,6 +64,8 @@ def read_xy_csv(path: str | Path, x_col: str, y_col: str
             raise ValueError(f"{path}: no column {col!r}")
     pairs = [(float(r[x_col]), float(r[y_col])) for r in rows
              if r[x_col] != "" and r[y_col] != ""]
+    if not pairs:
+        raise ValueError(f"{path}: no row has both {x_col!r} and {y_col!r}")
     xs, ys = zip(*pairs)
     return np.array(xs), np.array(ys)
 

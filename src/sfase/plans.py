@@ -28,6 +28,10 @@ KINDS = ("single", "ensemble", "sweep", "sweep_Tp", "oracle", "fit")
 # plan fields a kind cannot run without
 REQUIRED = {"sweep": ("axes",), "sweep_Tp": ("tp_grid_fs",),
             "fit": ("fit_family", "fit_data")}
+# columns a fit reads by default: the alpha and forward mean peak columns of
+# a sweep's map.csv
+FIT_X_COL = "alpha"
+FIT_Y_COL = f"{direction_names('peak')[0]}_mean"
 
 
 def _check_grid(name: str, grid) -> None:
@@ -59,9 +63,10 @@ class ExperimentPlan:
     # fit inputs
     fit_family: str | None = None
     fit_data: str | None = None
-    fit_x_col: str = "alpha"
-    # default y: the forward mean peak column of a sweep's map.csv
-    fit_y_col: str = f"{direction_names('peak')[0]}_mean"
+    # None outside fit plans, so other manifests carry no fit columns; a
+    # fit plan resolves them to FIT_X_COL and FIT_Y_COL
+    fit_x_col: str | None = None
+    fit_y_col: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -69,6 +74,9 @@ class ExperimentPlan:
         missing = [f for f in REQUIRED.get(self.kind, ()) if not getattr(self, f)]
         if missing:
             raise ParameterError(f"{self.kind} plan needs {' and '.join(missing)}")
+        if self.kind == "fit":
+            self.fit_x_col = self.fit_x_col or FIT_X_COL
+            self.fit_y_col = self.fit_y_col or FIT_Y_COL
         axes = self.axes or {}
         if not isinstance(axes, dict):
             raise ParameterError("plan.axes must map scenario fields to values")

@@ -11,8 +11,8 @@ numerical dispersion).  Per step:
      the pumped population enters |2> through a Simpson-weighted decay kernel,
      the already-decayed remainder enters |1>, keeping the trace exact.
      Once the incident flux has underflowed to 0 and J_p is 0 on every node
-     (the pump has left the medium, or it is disabled), 1-2 are skipped:
-     they would leave J_p = 0 and rho00 unchanged and move no population;
+     (the pump has left the medium), 1-2 are skipped: they would leave
+     J_p = 0 and rho00 unchanged and move no population;
   3. field envelopes advected with the i*eta*rho21 source applied along the
      characteristic by a trapezoidal predictor-corrector;
   4. remaining Bloch terms (decay, coherent coupling) advanced per node with
@@ -25,16 +25,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .params import Scenario, MediumParams, PumpParams, ParameterError
+from .params import Scenario, MediumParams, PumpParams
 
 log = logging.getLogger(__name__)
 
 PUMP_RESOLUTION = 20    # dt <= tau_p / 20
 DECAY_RESOLUTION = 50   # dt <= tau2 / 50
+# run checks finiteness, trace and physicality every CHECK_STRIDE steps
+# and after the last one
+CHECK_STRIDE = 10
 
 
 class SolverError(RuntimeError):
@@ -106,7 +108,6 @@ NOISE_STREAM = "v1"
 class NoiseSpec:
     master_seed: int
     realization_index: int = 0
-    enabled: bool = True
 
 
 def noise_normals(noise: NoiseSpec, istep: int, n_nodes: int) -> np.ndarray:
@@ -192,25 +193,14 @@ class FieldState:
                     f"step {self.istep} (t = {self.t:.6g} ps)")
 
 
-# initial-condition mode -> the population row that starts at 1
-INIT_ROWS = {"ground": 0, "absorbing": 1, "inverted": 2}
-
-
-def initialize(scen: Scenario, grid: GridSpec, mode: str = "ground",
-               rho21_seed: complex = 0.0) -> FieldState:
-    """Fresh state at t=0.
-
-    mode 'ground' is the physical initial condition (all population in |0>);
-    'inverted' (rho22=1) and 'absorbing' (rho11=1) are test modes for
-    convergence and reabsorption checks.
-    """
-    if mode not in INIT_ROWS:
-        raise ParameterError(f"unknown init mode {mode!r}")
+def initialize(scen: Scenario, grid: GridSpec) -> FieldState:
+    """The physical state at t=0: all population in |0>, no coherence,
+    field or pump in the medium."""
     nn = grid.n_nodes
     state = FieldState(pop=np.zeros((3, nn)),
-                       coh=np.full((2, nn), rho21_seed, dtype=complex),
+                       coh=np.zeros((2, nn), dtype=complex),
                        omega=np.zeros((2, nn), dtype=complex), jp=np.zeros(nn))
-    state.pop[INIT_ROWS[mode]] = 1.0
+    state.pop[0] = 1.0
     return state
 
 
@@ -226,10 +216,9 @@ def _bloch_rhs(r11, r22, coh, omega, gamma):
 
 
 def step(state: FieldState, scen: Scenario, grid: GridSpec,
-         noise: NoiseSpec | None = None, *, pump_enabled: bool = True,
-         omega_plus_boundary: Optional[Callable[[float], complex]] = None,
-         ) -> FieldState:
-    """Advance one realization by dt, returning the new state."""
+         noise: NoiseSpec | None = None) -> FieldState:
+    """Advance one realization by dt, returning the new state; the input
+    state is not written into."""
     dt, dz = grid.dt, grid.dz
     gamma = scen.transition.gamma
     eta = scen.derived.eta
@@ -241,9 +230,9 @@ def step(state: FieldState, scen: Scenario, grid: GridSpec,
     coh, omega, jp = state.coh, state.omega, state.jp
     pop_new = np.empty_like(state.pop)
 
-    jp_in = pump_boundary(t_new, scen.pump, scen.medium) if pump_enabled else 0.0
+    jp_in = pump_boundary(t_new, scen.pump, scen.medium)
     if jp_in == 0.0 and not jp.any():
-        # the pump has left the medium (or is off): stages (1)-(2) reduce
+        # the pump has left the medium: stages (1)-(2) reduce
         # exactly to J_p = 0, rho00 unchanged and no influx.  jp is shared
         # with the input state, which step never writes into.
         jp_new = jp
@@ -286,7 +275,7 @@ def step(state: FieldState, scen: Scenario, grid: GridSpec,
     half_src = 0.5j * eta * dz
     np.add(omega[0, :-1], half_src * (coh[0, :-1] + coh_pred[0, 1:]),
            out=omega_new[0, 1:])
-    omega_new[0, 0] = omega_plus_boundary(t_new) if omega_plus_boundary else 0.0
+    omega_new[0, 0] = 0.0
     np.add(omega[1, 1:], half_src * (coh[1, 1:] + coh_pred[1, :-1]),
            out=omega_new[1, :-1])
     omega_new[1, -1] = 0.0
@@ -303,7 +292,7 @@ def step(state: FieldState, scen: Scenario, grid: GridSpec,
 
     # (5) spontaneous-emission noise on the coherences; normal rows are
     # (Re+, Im+, Re-, Im-)
-    if noise is not None and noise.enabled:
+    if noise is not None:
         z = noise_normals(noise, state.istep, grid.n_nodes)
         z *= np.sqrt(0.5 * dt * noise_variance(pop_new[2], scen))
         coh_new.real += z[0::2]
@@ -324,35 +313,33 @@ class RunRecord:
     jp_out: np.ndarray               # J_p(t, L) (photons/(ps mm^2))
     max_trace_error: float = 0.0
     max_physicality_violation: float = 0.0
-    inversion_out: np.ndarray | None = None      # I(t, z_probe) if requested
     snapshot_times: np.ndarray | None = None     # I(t, z) snapshots
     snapshot_inversion: np.ndarray | None = None
 
 
 def run(scen: Scenario, grid: GridSpec, noise: NoiseSpec | None = None, *,
-        pump_enabled: bool = True, init_mode: str = "ground",
-        rho21_seed: complex = 0.0,
-        omega_plus_boundary: Optional[Callable[[float], complex]] = None,
-        snapshot_stride: int = 0, inversion_node: int | None = None,
-        check_stride: int = 10) -> RunRecord:
-    """Integrate one realization from t=0 to t_end, recording boundary series."""
-    state = initialize(scen, grid, mode=init_mode, rho21_seed=rho21_seed)
+        initial: FieldState | None = None,
+        snapshot_stride: int = 0) -> RunRecord:
+    """Integrate one realization from t=0 to t_end, recording boundary series.
+
+    The integration starts from ``initial``, a state at t=0 that is left
+    unmodified, or by default from the ground state.  With snapshot_stride
+    > 0 the inversion on every node is recorded after every
+    snapshot_stride-th step.
+    """
+    state = initialize(scen, grid) if initial is None else initial
     nsteps = grid.nsteps
     omega_out = np.zeros((2, nsteps + 1), dtype=complex)
     jp_out = np.zeros(nsteps + 1)
-    inv_out = np.zeros(nsteps + 1) if inversion_node is not None else None
     snap_t, snaps = [], []
 
-    if inv_out is not None:
-        inv_out[0] = state.pop[2, inversion_node] - state.pop[1, inversion_node]
     max_trace = state.trace_error()
     max_phys = 0.0
 
     for i in range(nsteps):
         try:
-            state = step(state, scen, grid, noise, pump_enabled=pump_enabled,
-                         omega_plus_boundary=omega_plus_boundary)
-            if (i + 1) % check_stride == 0 or i == nsteps - 1:
+            state = step(state, scen, grid, noise)
+            if (i + 1) % CHECK_STRIDE == 0 or i == nsteps - 1:
                 state.check_finite()
                 max_trace = max(max_trace, state.trace_error())
                 max_phys = max(max_phys, state.physicality_violation())
@@ -362,9 +349,6 @@ def run(scen: Scenario, grid: GridSpec, noise: NoiseSpec | None = None, *,
         omega_out[0, i + 1] = state.omega[0, -1]
         omega_out[1, i + 1] = state.omega[1, 0]
         jp_out[i + 1] = state.jp[-1]
-        if inv_out is not None:
-            inv_out[i + 1] = (state.pop[2, inversion_node]
-                              - state.pop[1, inversion_node])
         if snapshot_stride and (i + 1) % snapshot_stride == 0:
             snap_t.append(state.t)
             snaps.append(state.inversion().copy())
@@ -377,7 +361,6 @@ def run(scen: Scenario, grid: GridSpec, noise: NoiseSpec | None = None, *,
         omega_out=omega_out, jp_out=jp_out,
         max_trace_error=max_trace,
         max_physicality_violation=max_phys,
-        inversion_out=inv_out,
         snapshot_times=np.array(snap_t) if snap_t else None,
         snapshot_inversion=np.array(snaps) if snaps else None,
     )

@@ -5,11 +5,23 @@ from importlib import resources
 import pytest
 
 from sfase.params import Scenario, scenario_from_dict
+from sfase.solver import FieldState, GridSpec, initialize
 
 
 def load_preset(name: str) -> dict:
     text = (resources.files("sfase") / "presets" / f"{name}.json").read_text()
     return json.loads(text)
+
+
+def level_state(scen: Scenario, grid: GridSpec, level: int,
+                rho21: complex = 0.0) -> FieldState:
+    """Initial state with all population in one level (1: absorbing,
+    2: inverted) and the coherence rho21 on every node and direction."""
+    state = initialize(scen, grid)
+    state.pop[0] = 0.0
+    state.pop[level] = 1.0
+    state.coh[:] = rho21
+    return state
 
 
 # small medium, long pump: a coarse grid (~500 steps x 12 nodes) that still

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from sfase import oracle
+from conftest import level_state
+from sfase import oracle, solver
 from sfase.ensemble import (
     EnsembleSpec,
     detect_spectral_splitting,
@@ -116,8 +117,10 @@ def test_criterion_2_gain_parameter_bounds(fig5, fig6):
 
 def test_criterion_3_inversion_window(fig3a):
     grid = make_grid(fig3a)
-    rec = run(fig3a, grid, None, inversion_node=0)
-    inv, t = rec.inversion_out, rec.t
+    # the z = 0 column of the per-step snapshots, on the grid times
+    # (accumulated state.t differs from them in the last bits)
+    rec = run(fig3a, grid, None, snapshot_stride=1)
+    inv, t = rec.snapshot_inversion[:, 0], rec.t[1:]
     quad = oracle.inversion_quadrature(t, fig3a)
     max_diff = float(np.max(np.abs(inv - quad)))
     onset = float(t[np.argmax(np.gradient(inv, t))])
@@ -345,18 +348,18 @@ def test_criterion_7_photon_statistics_shift(length_points):
 # criterion 8: numerical property suite
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_numerical_properties(toy):
+def test_criterion_8_numerical_properties(toy, monkeypatch):
     grid = make_grid(toy)
     noise = NoiseSpec(master_seed=13, realization_index=2)
 
     # density-matrix trace conservation under noise, checked every step
-    rec = run(toy, grid, noise, check_stride=1)
+    monkeypatch.setattr(solver, "CHECK_STRIDE", 1)
+    rec = run(toy, grid, noise)
     trace_ok = rec.max_trace_error <= 1e-6
 
     # step-halving convergence on a deterministic seeded-inversion burst
     def burst(grid_):
-        r = run(toy, grid_, None, pump_enabled=False, init_mode="inverted",
-                rho21_seed=1e-3)
+        r = run(toy, grid_, None, initial=level_state(toy, grid_, 2, 1e-3))
         intensity = np.abs(r.omega_out[0]) ** 2
         return (pulse_area(r.omega_out[0], grid_.dt),
                 float(intensity.max()),
@@ -384,7 +387,7 @@ def test_criterion_8_numerical_properties(toy):
     parseval_ok = lhs == pytest.approx(rhs, rel=1e-3)
 
     # bitwise reproducibility of a seeded realization
-    rec2 = run(toy, grid, noise, check_stride=1)
+    rec2 = run(toy, grid, noise)
     bitwise_ok = (np.array_equal(rec.omega_out[0], rec2.omega_out[0])
                   and np.array_equal(rec.omega_out[1], rec2.omega_out[1]))
 

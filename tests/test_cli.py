@@ -439,6 +439,39 @@ def test_fit_reads_sweep_map_with_default_columns(tmp_path, toy_file):
     assert len(result["coefficients"]) == 2
 
 
+def test_only_fit_manifests_record_fit_columns(tmp_path, toy_file):
+    out = tmp_path / "ens"
+    assert main(["ensemble", "--scenario", toy_file, "--out", str(out),
+                 "--ne", "2"]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not [k for k in manifest["plan"] if k.startswith("fit_")]
+    # a manifest written when every plan carried the fit columns still runs
+    manifest["plan"].update(fit_x_col="alpha", fit_y_col="peak_fwd",
+                            out_dir=str(tmp_path / "old"))
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    assert main(["ensemble", "--from-manifest", str(old)]) == EXIT_OK
+
+    data = tmp_path / "data.csv"
+    io.write_csv(data, ["alpha", "peak_fwd_mean"],
+                 [[1.0, 2.0, 3.0], [1.0, 2.0, 4.0]])
+    assert main(["fit", "--family", "exp_gain", "--data", str(data),
+                 "--out", str(tmp_path / "fit")]) == EXIT_OK
+    plan = json.loads((tmp_path / "fit" / "manifest.json").read_text())["plan"]
+    assert (plan["fit_x_col"], plan["fit_y_col"]) == ("alpha", "peak_fwd_mean")
+
+
+def test_fit_names_columns_when_no_row_has_both(tmp_path, capsys):
+    # a map.csv whose points all failed has no peak values
+    data = tmp_path / "map.csv"
+    io.write_csv(data, ["alpha", "peak_fwd_mean", "error"],
+                 [[100.0, 200.0], ["", ""], ["boom", "boom"]])
+    assert main(["fit", "--family", "pump_decay", "--data", str(data),
+                 "--out", str(tmp_path / "fit")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{data}: no row has both 'alpha' and 'peak_fwd_mean'" in err
+
+
 def test_fit_unknown_family(tmp_path):
     data = tmp_path / "d.csv"
     io.write_csv(data, ["alpha", "peak_fwd_mean"], [[1, 2, 3], [1, 2, 3]])

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import level_state
 from sfase import solver
-from sfase.params import ParameterError
 from sfase.solver import (
     DECAY_RESOLUTION,
     GridError,
@@ -113,31 +113,23 @@ def test_pump_boundary_peak(fig5):
 # initial states
 # ---------------------------------------------------------------------------
 
-def test_initialize_modes(toy):
-    grid = make_grid(toy)
-    for mode, row in (("ground", 0), ("inverted", 2), ("absorbing", 1)):
-        state = initialize(toy, grid, mode=mode)
-        assert np.all(state.pop[row] == 1.0)
-        assert state.trace_error() == 0.0
-    with pytest.raises(ParameterError):
-        initialize(toy, grid, mode="sideways")
-
-
-def test_initialize_seeded_coherence(toy):
-    grid = make_grid(toy)
-    state = initialize(toy, grid, mode="inverted", rho21_seed=1e-4)
-    assert np.all(state.coh[0] == 1e-4)
-    assert np.all(state.coh[1] == 1e-4)
+def test_initialize_ground_state(toy):
+    state = initialize(toy, make_grid(toy))
+    assert np.all(state.pop[0] == 1.0)
+    assert not state.pop[1:].any()
+    assert not (state.coh.any() or state.omega.any() or state.jp.any())
+    assert state.trace_error() == 0.0
+    assert (state.t, state.istep) == (0.0, 0)
 
 
 # ---------------------------------------------------------------------------
 # conservation and propagation physics
 # ---------------------------------------------------------------------------
 
-def test_trace_conserved_with_noise(toy):
+def test_trace_conserved_with_noise(toy, monkeypatch):
+    monkeypatch.setattr(solver, "CHECK_STRIDE", 1)
     grid = make_grid(toy)
-    rec = run(toy, grid, NoiseSpec(master_seed=1, realization_index=0),
-              check_stride=1)
+    rec = run(toy, grid, NoiseSpec(master_seed=1, realization_index=0))
     assert rec.max_trace_error < 1e-10
 
 
@@ -165,8 +157,7 @@ def test_no_emission_without_noise_or_seed(toy):
 
 def test_seeded_inversion_amplifies(toy):
     grid = make_grid(toy)
-    rec = run(toy, grid, None, pump_enabled=False, init_mode="inverted",
-              rho21_seed=1e-8)
+    rec = run(toy, grid, None, initial=level_state(toy, grid, 2, 1e-8))
     # alpha = 480: the tiny coherence seed must grow by many orders
     assert float(np.max(np.abs(rec.omega_out[0]))) > 1e-3
 
@@ -178,18 +169,23 @@ def test_absorbing_medium_attenuates_injected_pulse(toy):
     def boundary(t):
         return 1.0e-3 * math.exp(-(((t - t0) / tau) ** 2))
 
-    rec = run(toy, grid, None, pump_enabled=False, init_mode="absorbing",
-              omega_plus_boundary=boundary)
+    # the pulse enters at z = 0: set the incoming + envelope before each
+    # step and record what arrives at z = L
+    state = level_state(toy, grid, 1)
+    out = []
+    for _ in range(grid.nsteps):
+        state.omega[0, 0] = boundary(state.t)
+        state = step(state, toy, grid)
+        out.append(state.omega[0, -1])
     energy_in = sum(abs(boundary(t)) ** 2 for t in grid.times) * grid.dt
-    energy_out = float(np.sum(np.abs(rec.omega_out[0]) ** 2) * grid.dt)
+    energy_out = float(np.sum(np.abs(out) ** 2) * grid.dt)
     assert energy_out < 0.5 * energy_in
 
 
 def test_forward_field_causal(fig5):
     # nothing can reach z=L before the pump front arrives there
     grid = make_grid(fig5)
-    rec = run(fig5, grid, NoiseSpec(master_seed=3, realization_index=0),
-              check_stride=100)
+    rec = run(fig5, grid, NoiseSpec(master_seed=3, realization_index=0))
     transit = fig5.medium.L / fig5.constants.c
     early = rec.t < transit
     assert np.all(np.abs(rec.omega_out[0, early]) == 0.0)
@@ -197,11 +193,13 @@ def test_forward_field_causal(fig5):
 
 
 def test_inversion_trace_recording(toy):
+    # a stride-1 snapshot column is the inversion trace of one node on
+    # rec.t[1:]; the accumulated snapshot times differ in the last bits
     grid = make_grid(toy)
-    rec = run(toy, grid, None, inversion_node=0)
-    assert rec.inversion_out is not None
-    assert len(rec.inversion_out) == grid.nsteps + 1
-    assert rec.inversion_out.max() > 0.0
+    rec = run(toy, grid, None, snapshot_stride=1)
+    np.testing.assert_allclose(rec.snapshot_times, rec.t[1:], rtol=1e-12)
+    assert rec.snapshot_inversion.shape == (grid.nsteps, grid.n_nodes)
+    assert rec.snapshot_inversion[:, 0].max() > 0.0
 
 
 def test_snapshots(toy):
@@ -232,23 +230,23 @@ def test_different_realizations_differ(toy):
     assert not np.array_equal(a.omega_out[0], b.omega_out[0])
 
 
-def test_disabled_noise_equals_no_noise(toy):
-    grid = make_grid(toy)
-    a = run(toy, grid, NoiseSpec(master_seed=5, realization_index=0,
-                                 enabled=False))
-    b = run(toy, grid, None)
-    np.testing.assert_array_equal(a.omega_out[0], b.omega_out[0])
-
-
-def test_single_step_matches_run_prefix(toy):
+@pytest.mark.parametrize("level, rho21", [(0, 0.0), (2, 1e-6)],
+                         ids=["ground", "inverted"])
+def test_single_step_matches_run_prefix(toy, level, rho21):
     # 18 ps: the pump's incident flux underflows to 0 (27 tau_p after
     # tau_i) and J_p leaves the medium about 300 steps before the end
     grid = make_grid(toy, t_end=18.0)
     noise = NoiseSpec(master_seed=9, realization_index=0)
-    states = [initialize(toy, grid)]
+    initial = level_state(toy, grid, level, rho21)
+    kept = {name: arr.copy() for name, arr in vars(initial).items()
+            if isinstance(arr, np.ndarray)}
+    states = [initial]
     for _ in range(grid.nsteps):
         states.append(step(states[-1], toy, grid, noise))
-    rec = run(toy, grid, noise)
+    rec = run(toy, grid, noise, initial=initial)
+    for name, arr in kept.items():
+        np.testing.assert_array_equal(getattr(initial, name), arr)
+    assert (initial.t, initial.istep) == (0.0, 0)
     np.testing.assert_array_equal([s.omega[0, -1] for s in states],
                                   rec.omega_out[0])
     np.testing.assert_array_equal([s.omega[1, 0] for s in states],
@@ -278,8 +276,8 @@ def test_check_finite_names_array_row_and_cell(toy):
 
 def test_non_finite_pump_fails_run_with_realization_index(toy, monkeypatch):
     monkeypatch.setattr(solver, "pump_boundary", lambda *args: np.nan)
+    monkeypatch.setattr(solver, "CHECK_STRIDE", 1)
     with pytest.raises(SolverError,
                        match=r"^realization 3: non-finite value in pop\[0, 0\] "
                              r"at step 1 "):
-        run(toy, make_grid(toy), NoiseSpec(master_seed=1, realization_index=3),
-            check_stride=1)
+        run(toy, make_grid(toy), NoiseSpec(master_seed=1, realization_index=3))
