@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: validate, run, ensemble, sweep, oracle, fit.
-Exit codes: 0 success, 2 config error, 3 runtime failure.
+Exit codes: 0 success, 2 config error, 3 runtime failure, 4 the compiled
+step kernel cannot be built or loaded (run, ensemble and the sweeps that
+simulate; nothing is written).
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from pathlib import Path
 
 from .fitting import FitError
 from .io import load_manifest_plan
+from .kernel import KernelError
 from .params import ParameterError, scenario_from_dict, validation_warnings
 from .plans import FIT_X_COL, FIT_Y_COL, ExperimentPlan, oracle_report, run_plan
 from .solver import GridError, SolverError, make_grid
@@ -21,6 +24,7 @@ from .solver import GridError, SolverError, make_grid
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+EXIT_KERNEL = 4
 
 PRESETS = ("fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7", "fig10")
 NE_PRESETS = {"desk": 100, "paper": 1000}
@@ -218,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
             json.JSONDecodeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except KernelError as err:
+        print(f"kernel error: {err}", file=sys.stderr)
+        return EXIT_KERNEL
     except (SolverError, OSError) as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -22,7 +22,7 @@ import numpy as np
 
 from .params import Scenario
 from .solver import GridSpec, NoiseSpec, RunRecord, SolverError, run
-from . import oracle
+from . import kernel, oracle
 
 HALF_PI = math.pi / 2.0
 SPECTRUM_PAD = 4
@@ -265,7 +265,10 @@ def realization_outcomes(specs: list[EnsembleSpec]) -> Iterator:
     the cause, and nothing more is submitted.  Closing the stream, or an
     exception leaving it, shuts the pool down and cancels the tasks not
     yet started.
+    The step kernel is loaded first: a kernel that cannot be built raises
+    `kernel.KernelError` once, before any task, not once per realization.
     """
+    kernel.load()
     tasks = ((spec, index) for spec in specs
              for index in range(spec.n_realizations))
     workers = max((spec.workers for spec in specs), default=1)

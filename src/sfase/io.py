@@ -115,18 +115,23 @@ def write_ensemble_outputs(summary: EnsembleSummary,
     write_realizations(scalars, out / "realizations.csv")
 
 
-def environment() -> dict:
-    """The software and machine that produce a run's numbers."""
+def environment(step_kernel: dict | None) -> dict:
+    """The software and machine that produce a run's numbers; a plan that
+    steps also records its step kernel (`kernel.info()`: the kernel hash
+    and the compiler that built it)."""
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "platform": platform.platform(),
-            "cpu_count": os.cpu_count(), "noise_stream": NOISE_STREAM}
+            "cpu_count": os.cpu_count(), "noise_stream": NOISE_STREAM,
+            **(step_kernel or {})}
 
 
-def write_manifest(plan_dict: dict, out_dir: str | Path) -> None:
+def write_manifest(plan_dict: dict, out_dir: str | Path,
+                   step_kernel: dict | None) -> None:
     # unsorted: the order of plan["axes"] is the order of the sweep points
     write_json(Path(out_dir) / "manifest.json",
-               {"sfase_version": __version__, "environment": environment(),
-                "plan": plan_dict}, sort_keys=False)
+               {"sfase_version": __version__,
+                "environment": environment(step_kernel), "plan": plan_dict},
+               sort_keys=False)
 
 
 def load_manifest_plan(path: str | Path) -> dict:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io, oracle
+from . import io, kernel, oracle
 from .ensemble import (EnsembleSpec, direction_names, realization_outcomes,
                        run_ensemble)
 from .fitting import fit
@@ -25,6 +25,9 @@ from .params import (REPLACEABLE, Scenario, ParameterError,
 from .solver import GridError, NoiseSpec, SolverError, make_grid, run
 
 KINDS = ("single", "ensemble", "sweep", "sweep_Tp", "oracle", "fit")
+# kinds that step the integrator: they load the compiled step kernel before
+# writing anything, so a kernel that cannot be built fails the plan once
+STEPPING_KINDS = ("single", "ensemble", "sweep")
 # plan fields a kind cannot run without
 REQUIRED = {"sweep": ("axes",), "sweep_Tp": ("tp_grid_fs",),
             "fit": ("fit_family", "fit_data")}
@@ -181,9 +184,10 @@ def _run_sweep(plan: ExperimentPlan, out: Path, points: list[dict]) -> None:
 
 def run_plan(plan: ExperimentPlan) -> Path:
     """Execute a plan, writing all artifacts plus the manifest."""
+    step_kernel = kernel.info() if plan.kind in STEPPING_KINDS else None
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    io.write_manifest(plan.to_dict(), out)
+    io.write_manifest(plan.to_dict(), out, step_kernel)
 
     if plan.kind == "oracle":
         scen = scenario_from_dict(plan.scenario)

@@ -18,16 +18,29 @@ numerical dispersion).  Per step:
   4. remaining Bloch terms (decay, coherent coupling) advanced per node with
      one Heun step using the local fields at t and t+dt;
   5. spontaneous-emission noise added to rho21 as an independent complex
-     Gaussian increment per (node, step, direction), Euler-Maruyama style.
+     Gaussian increment per (node, step, direction), Euler-Maruyama style,
+     with variance K*dt/2 per real and imaginary part, where the noise
+     power is K = phi*rho22*Gamma^2*omega^2/(24 n pi^2 c^3)
+     (`Scenario.derived.noise_prefactor` times max(rho22, 0), in 1/ps).
+
+Stages 1-5 are one call of a compiled C function (`step_kernel.c`, built
+and cached by `sfase.kernel` on the first step of a process); `step` draws
+the step's noise (`noise_normals`) and the incident pump flux
+(`pump_boundary`) in Python and passes them in.  The C code keeps the
+operation order of the numpy formulation kept in the tests as its
+reference, so the two differ only where libm's exp rounds differently from
+numpy's vectorised exp: by 1 ulp on a few percent of its arguments.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .params import Scenario, MediumParams, PumpParams
 
 log = logging.getLogger(__name__)
@@ -138,15 +151,6 @@ def noise_normals(noise: NoiseSpec, istep: int, n_nodes: int) -> np.ndarray:
 _philox: tuple = (None, None, None)
 
 
-def noise_variance(rho22: np.ndarray | float, scen: Scenario) -> np.ndarray | float:
-    """Noise power K = phi*rho22*Gamma^2*omega^2/(24 n pi^2 c^3), in 1/ps.
-
-    <|dW|^2> over one step is K*dt; real and imaginary parts are independent
-    with variance K*dt/2 each.
-    """
-    return scen.derived.noise_prefactor * np.maximum(rho22, 0.0)
-
-
 def pump_boundary(t, pump: PumpParams, medium: MediumParams):
     """Incident pump photon flux at z=0, photons/(ps mm^2)."""
     peak = pump.n_p / (math.pi**1.5 * medium.r**2 * pump.tau_p)
@@ -204,102 +208,41 @@ def initialize(scen: Scenario, grid: GridSpec) -> FieldState:
     return state
 
 
-def _bloch_rhs(r11, r22, coh, omega, gamma):
-    """Decay + coherent-coupling part of Eqs. for (rho11, rho22, rho21+-).
-
-    The pump term is handled exactly outside; rho00 does not appear here.
-    Returns (d11, dcoh); d22 = -d11 exactly (the trace is conserved).
-    """
-    d11 = gamma * r22 + (omega * coh.conj()).imag.sum(axis=0)
-    dcoh = -0.5 * gamma * coh - 0.5j * (r22 - r11) * omega
-    return d11, dcoh
-
-
 def step(state: FieldState, scen: Scenario, grid: GridSpec,
          noise: NoiseSpec | None = None) -> FieldState:
     """Advance one realization by dt, returning the new state; the input
-    state is not written into."""
-    dt, dz = grid.dt, grid.dz
-    gamma = scen.transition.gamma
-    eta = scen.derived.eta
-    n_at = scen.medium.n
-    sigma = scen.medium.sigma
-    t_new = state.t + dt
-
-    r00, r11, r22 = state.pop
-    coh, omega, jp = state.coh, state.omega, state.jp
-    pop_new = np.empty_like(state.pop)
-
+    state is not written into.  Stages (1)-(5) run in one call of the
+    compiled kernel (`sfase.kernel`), built on the first call."""
+    lib, ffi = kernel.load()
+    nn = grid.n_nodes
+    t_new = state.t + grid.dt
+    # the input arrays must be C-contiguous float64 (3, nn), complex
+    # (2, nn) and float64 (nn,): from_buffer rejects a non-contiguous
+    # array and one shorter than its fixed-length type
+    pop_t, pair_t, node_t = _buffer_types(ffi, nn)
     jp_in = pump_boundary(t_new, scen.pump, scen.medium)
-    if jp_in == 0.0 and not jp.any():
-        # the pump has left the medium: stages (1)-(2) reduce
-        # exactly to J_p = 0, rho00 unchanged and no influx.  jp is shared
-        # with the input state, which step never writes into.
-        jp_new = jp
-        pop_new[0] = r00
-        influx11 = influx22 = 0.0
-    else:
-        # (1) pump advection with trapezoidal attenuation along the
-        # characteristic
-        jp_new = np.empty_like(jp)
-        np.multiply(jp[:-1],
-                    np.exp(-n_at * sigma * dz * 0.5 * (r00[:-1] + r00[1:])),
-                    out=jp_new[1:])
-        jp_new[0] = jp_in
+    # (5)'s normal rows are (Re+, Im+, Re-, Im-)
+    z = (ffi.NULL if noise is None else
+         ffi.from_buffer(pair_t, noise_normals(noise, state.istep, nn)))
+    new = FieldState(pop=np.empty((3, nn)), coh=np.empty((2, nn), dtype=complex),
+                     omega=np.empty((2, nn), dtype=complex), jp=np.empty(nn),
+                     t=t_new, istep=state.istep + 1)
+    buf = ffi.from_buffer
+    lib.sfase_step(
+        nn, grid.dt, grid.dz, scen.transition.gamma, scen.derived.eta,
+        scen.medium.n, scen.medium.sigma, scen.derived.noise_prefactor, jp_in,
+        buf(pop_t, state.pop), buf(pair_t, state.coh),
+        buf(pair_t, state.omega), buf(node_t, state.jp), z,
+        buf(pop_t, new.pop, True), buf(pair_t, new.coh, True),
+        buf(pair_t, new.omega, True), buf(node_t, new.jp, True))
+    return new
 
-        # (2) exact ground-state depletion; rates r = sigma*J_p at t,
-        # t+dt/2, t+dt
-        rate0 = sigma * jp
-        rate1 = sigma * jp_new
-        rate_m = 0.5 * (rate0 + rate1)
-        r00_half = r00 * np.exp(-0.25 * dt * (rate0 + rate_m))
-        r00_new = np.multiply(r00_half, np.exp(-0.25 * dt * (rate_m + rate1)),
-                              out=pop_new[0])
-        delta = r00 - r00_new
-        # influx into |2> weighted by the decay kernel over the step (Simpson)
-        s0 = rate0 * r00
-        s_mid = rate_m * r00_half
-        s1 = rate1 * r00_new
-        influx22 = (dt / 6.0) * (s0 * math.exp(-gamma * dt)
-                                 + 4.0 * s_mid * math.exp(-0.5 * gamma * dt)
-                                 + s1)
-        np.minimum(influx22, delta, out=influx22)
-        influx11 = delta - influx22
 
-    # (3) field advection; trapezoidal source needs predicted rho21 at t+dt,
-    # which is also the Heun predictor of step (4).  The + envelope moves
-    # toward z = L and the - envelope toward z = 0.
-    d11, dcoh = _bloch_rhs(r11, r22, coh, omega, gamma)
-    coh_pred = coh + dt * dcoh
-    omega_new = np.empty_like(omega)
-    half_src = 0.5j * eta * dz
-    np.add(omega[0, :-1], half_src * (coh[0, :-1] + coh_pred[0, 1:]),
-           out=omega_new[0, 1:])
-    omega_new[0, 0] = 0.0
-    np.add(omega[1, 1:], half_src * (coh[1, 1:] + coh_pred[1, :-1]),
-           out=omega_new[1, :-1])
-    omega_new[1, -1] = 0.0
-
-    # (4) Heun for decay + coupling, local fields at t and t+dt; |1> gains
-    # exactly what |2> loses
-    shift = dt * d11
-    d11_2, dcoh_2 = _bloch_rhs(r11 + shift, r22 - shift, coh_pred, omega_new,
-                               gamma)
-    shift = 0.5 * dt * (d11 + d11_2)
-    np.add(r11 + shift, influx11, out=pop_new[1])
-    np.add(r22 - shift, influx22, out=pop_new[2])
-    coh_new = coh + 0.5 * dt * (dcoh + dcoh_2)
-
-    # (5) spontaneous-emission noise on the coherences; normal rows are
-    # (Re+, Im+, Re-, Im-)
-    if noise is not None:
-        z = noise_normals(noise, state.istep, grid.n_nodes)
-        z *= np.sqrt(0.5 * dt * noise_variance(pop_new[2], scen))
-        coh_new.real += z[0::2]
-        coh_new.imag += z[1::2]
-
-    return FieldState(pop=pop_new, coh=coh_new, omega=omega_new, jp=jp_new,
-                      t=t_new, istep=state.istep + 1)
+@functools.lru_cache(maxsize=64)
+def _buffer_types(ffi, n_nodes: int) -> tuple:
+    """Fixed-length double array types of (3, n), (4, n) and (n,) doubles:
+    a pop, a coh/omega/noise block and a jp buffer."""
+    return tuple(ffi.typeof(f"double[{k * n_nodes}]") for k in (3, 4, 1))
 
 
 @dataclass
@@ -328,7 +271,7 @@ def run(scen: Scenario, grid: GridSpec, noise: NoiseSpec | None = None, *,
     snapshot_stride-th step.
     """
     state = initialize(scen, grid) if initial is None else initial
-    nsteps = grid.nsteps
+    nsteps, times = grid.nsteps, grid.times
     omega_out = np.zeros((2, nsteps + 1), dtype=complex)
     jp_out = np.zeros(nsteps + 1)
     snap_t, snaps = [], []
@@ -350,14 +293,14 @@ def run(scen: Scenario, grid: GridSpec, noise: NoiseSpec | None = None, *,
         omega_out[1, i + 1] = state.omega[1, 0]
         jp_out[i + 1] = state.jp[-1]
         if snapshot_stride and (i + 1) % snapshot_stride == 0:
-            snap_t.append(state.t)
+            snap_t.append(times[i + 1])
             snaps.append(state.inversion().copy())
 
     if max_phys > 1.0e-3:
         log.warning("physicality |rho21|^2 <= rho22*rho11 violated by %.3g "
                     "(stochastic coherence injection)", max_phys)
     return RunRecord(
-        t=grid.times,
+        t=times,
         omega_out=omega_out, jp_out=jp_out,
         max_trace_error=max_trace,
         max_physicality_violation=max_phys,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sfase import ensemble, io
+from sfase import ensemble, io, kernel
 from sfase.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from sfase.solver import SolverError
 
@@ -97,9 +97,12 @@ def test_manifest_records_environment_and_replays_from_plan(tmp_path, toy_file):
     manifest = json.loads((out / "manifest.json").read_text())
     env = manifest["environment"]
     assert set(env) == {"python", "numpy", "scipy", "platform", "cpu_count",
-                        "noise_stream"}
+                        "noise_stream", "kernel", "compiler"}
     assert env["numpy"] == np.__version__
     assert env["noise_stream"] == "v1"
+    # the step kernel that produced the numbers, and the compiler that built it
+    assert env["kernel"] == kernel.kernel_hash()
+    assert env["compiler"] == kernel.info()["compiler"] != ""
     # a manifest from another machine replays: only its plan is read
     manifest["environment"] = {"python": "0.0", "platform": "elsewhere"}
     manifest["plan"]["out_dir"] = str(tmp_path / "replay")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import level_state
+from reference_step import noise_variance
 from sfase import solver
 from sfase.solver import (
     DECAY_RESOLUTION,
@@ -16,7 +17,6 @@ from sfase.solver import (
     initialize,
     make_grid,
     noise_normals,
-    noise_variance,
     pump_boundary,
     run,
     step,
@@ -194,10 +194,10 @@ def test_forward_field_causal(fig5):
 
 def test_inversion_trace_recording(toy):
     # a stride-1 snapshot column is the inversion trace of one node on
-    # rec.t[1:]; the accumulated snapshot times differ in the last bits
+    # rec.t[1:], and the snapshot times are that axis exactly
     grid = make_grid(toy)
     rec = run(toy, grid, None, snapshot_stride=1)
-    np.testing.assert_allclose(rec.snapshot_times, rec.t[1:], rtol=1e-12)
+    np.testing.assert_array_equal(rec.snapshot_times, rec.t[1:])
     assert rec.snapshot_inversion.shape == (grid.nsteps, grid.n_nodes)
     assert rec.snapshot_inversion[:, 0].max() > 0.0
 
