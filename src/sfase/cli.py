@@ -225,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     except KernelError as err:
         print(f"kernel error: {err}", file=sys.stderr)
         return EXIT_KERNEL
-    except (SolverError, OSError) as err:
+    except (SolverError, OSError, MemoryError) as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

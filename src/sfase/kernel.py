@@ -25,12 +25,13 @@ from pathlib import Path
 
 SOURCE = "step_kernel.c"
 CDEF = """
-void sfase_step(int n, double dt, double dz, double gamma, double eta,
-                double n_at, double sigma, double noise_prefactor,
-                double jp_in, const double *pop, const double *coh,
-                const double *omega, const double *jp, const double *z,
-                double *pop_new, double *coh_new, double *omega_new,
-                double *jp_new);
+int sfase_step(int n, double dt, double dz, double gamma, double eta,
+               double n_at, double sigma, double noise_prefactor,
+               double jp_in, const double *pop, const double *coh,
+               const double *omega, const double *jp, int noisy,
+               uint64_t key0, uint64_t key1, uint64_t index, uint64_t istep,
+               double *pop_new, double *coh_new, double *omega_new,
+               double *jp_new);
 const char *sfase_compiler(void);
 """
 # the same IEEE double arithmetic on every host: no fused multiply-add, no

@@ -74,6 +74,12 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown plan kind {self.kind!r}")
+        # the v1 noise stream keys Philox with the seed's 128 bits
+        seed = self.master_seed
+        if (not isinstance(seed, int) or isinstance(seed, bool)
+                or not 0 <= seed < 2**128):
+            raise ParameterError(
+                f"master seed must be an integer in [0, 2**128), got {seed!r}")
         missing = [f for f in REQUIRED.get(self.kind, ()) if not getattr(self, f)]
         if missing:
             raise ParameterError(f"{self.kind} plan needs {' and '.join(missing)}")

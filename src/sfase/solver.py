@@ -24,12 +24,14 @@ numerical dispersion).  Per step:
      (`Scenario.derived.noise_prefactor` times max(rho22, 0), in 1/ps).
 
 Stages 1-5 are one call of a compiled C function (`step_kernel.c`, built
-and cached by `sfase.kernel` on the first step of a process); `step` draws
-the step's noise (`noise_normals`) and the incident pump flux
-(`pump_boundary`) in Python and passes them in.  The C code keeps the
-operation order of the numpy formulation kept in the tests as its
-reference, so the two differ only where libm's exp rounds differently from
-numpy's vectorised exp: by 1 ulp on a few percent of its arguments.
+and cached by `sfase.kernel` on the first step of a process); `step`
+computes the incident pump flux (`pump_boundary`) in Python and passes it
+in with stage 5's noise coordinates.  The C code keeps the operation order
+of the numpy formulation kept in the tests as its reference, so the two
+differ only where libm's exp rounds differently from numpy's vectorised
+exp: by 1 ulp on a few percent of its arguments.  Stage 5's normals are
+drawn inside the kernel, bitwise equal to `noise_normals`, which defines
+the v1 stream in numpy and is the tests' reference for the kernel's draw.
 """
 from __future__ import annotations
 
@@ -113,7 +115,8 @@ def make_grid(scen: Scenario, nz: int | None = None,
 
 
 # version of the seeded noise draw recorded in manifests; a change that
-# alters the numbers noise_normals returns for given coordinates bumps it
+# alters the numbers noise_normals, or the kernel's draw, returns for given
+# coordinates bumps it
 NOISE_STREAM = "v1"
 
 
@@ -124,8 +127,11 @@ class NoiseSpec:
 
 
 def noise_normals(noise: NoiseSpec, istep: int, n_nodes: int) -> np.ndarray:
-    """Standard-normal block for one step, shape (4, n_nodes).
+    """Standard-normal block for one step, shape (4, n_nodes): the numpy
+    definition of the v1 noise stream.
 
+    `step` does not call it: the step kernel draws the same numbers bit for
+    bit in C.  It is the reference the kernel's draw is tested against.
     Rows are (Re+, Im+, Re-, Im-).  The draw is a pure function of
     (master_seed, realization_index, istep): the Philox counter encodes the
     realization and step, so identical coordinates give identical samples
@@ -221,27 +227,31 @@ def step(state: FieldState, scen: Scenario, grid: GridSpec,
     # array and one shorter than its fixed-length type
     pop_t, pair_t, node_t = _buffer_types(ffi, nn)
     jp_in = pump_boundary(t_new, scen.pump, scen.medium)
-    # (5)'s normal rows are (Re+, Im+, Re-, Im-)
-    z = (ffi.NULL if noise is None else
-         ffi.from_buffer(pair_t, noise_normals(noise, state.istep, nn)))
+    # (5)'s v1 normals are drawn in the kernel from their coordinates: the
+    # Philox key (the seed's low and high 64 bits), realization and step
+    seed, index = ((0, 0) if noise is None
+                   else (noise.master_seed, noise.realization_index))
     new = FieldState(pop=np.empty((3, nn)), coh=np.empty((2, nn), dtype=complex),
                      omega=np.empty((2, nn), dtype=complex), jp=np.empty(nn),
                      t=t_new, istep=state.istep + 1)
     buf = ffi.from_buffer
-    lib.sfase_step(
-        nn, grid.dt, grid.dz, scen.transition.gamma, scen.derived.eta,
-        scen.medium.n, scen.medium.sigma, scen.derived.noise_prefactor, jp_in,
-        buf(pop_t, state.pop), buf(pair_t, state.coh),
-        buf(pair_t, state.omega), buf(node_t, state.jp), z,
-        buf(pop_t, new.pop, True), buf(pair_t, new.coh, True),
-        buf(pair_t, new.omega, True), buf(node_t, new.jp, True))
+    if lib.sfase_step(
+            nn, grid.dt, grid.dz, scen.transition.gamma, scen.derived.eta,
+            scen.medium.n, scen.medium.sigma, scen.derived.noise_prefactor,
+            jp_in, buf(pop_t, state.pop), buf(pair_t, state.coh),
+            buf(pair_t, state.omega), buf(node_t, state.jp),
+            noise is not None, seed % 2**64, seed >> 64, index, state.istep,
+            buf(pop_t, new.pop, True), buf(pair_t, new.coh, True),
+            buf(pair_t, new.omega, True), buf(node_t, new.jp, True)):
+        raise MemoryError(f"step {state.istep}: cannot allocate the noise "
+                          f"normals of {nn} nodes")
     return new
 
 
 @functools.lru_cache(maxsize=64)
 def _buffer_types(ffi, n_nodes: int) -> tuple:
     """Fixed-length double array types of (3, n), (4, n) and (n,) doubles:
-    a pop, a coh/omega/noise block and a jp buffer."""
+    a pop, a coh/omega and a jp buffer."""
     return tuple(ffi.typeof(f"double[{k * n_nodes}]") for k in (3, 4, 1))
 
 

@@ -12,6 +12,8 @@ import pytest
 
 from sfase import ensemble, io, kernel
 from sfase.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from sfase.params import ParameterError
+from sfase.plans import ExperimentPlan
 from sfase.solver import SolverError
 
 
@@ -153,6 +155,35 @@ def test_manifest_kind_must_match_command(tmp_path, toy_dict, command, kind):
     manifest.write_text(json.dumps({"plan": plan}))
     assert main([command, "--from-manifest", str(manifest)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_seed_outside_key_range_is_config_error(tmp_path, toy_dict, toy_file,
+                                               seed):
+    # the seed keys Philox's 128 bits: a seed outside [0, 2**128) fails the
+    # plan up front, from --seed and from a manifest, and writes nothing
+    out = tmp_path / "out"
+    assert main(["ensemble", "--scenario", toy_file, "--out", str(out),
+                 "--ne", "2", f"--seed={seed}"]) == EXIT_CONFIG
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"plan": {
+        "kind": "ensemble", "scenario": toy_dict, "out_dir": str(out),
+        "n_realizations": 2, "master_seed": seed}}))
+    assert main(["ensemble", "--from-manifest", str(manifest)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [1.0, True, "3"])
+def test_seed_must_be_an_integer(toy_dict, seed):
+    with pytest.raises(ParameterError, match="master seed"):
+        ExperimentPlan(kind="ensemble", scenario=toy_dict, out_dir="x",
+                       master_seed=seed)
+
+
+def test_largest_seed_runs(tmp_path, toy_file):
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", toy_file, "--out", str(out),
+                 f"--seed={2**128 - 1}"]) == EXIT_OK
 
 
 def test_manifest_replay_takes_explicit_workers(tmp_path, toy_file):

@@ -1,7 +1,10 @@
 """The compiled step kernel against the numpy reference step, and its build,
 cache and failure paths."""
+import functools
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +15,9 @@ import pytest
 from conftest import level_state
 from reference_step import reference_step
 from sfase import io, kernel, solver
-from sfase.cli import EXIT_KERNEL, EXIT_OK
-from sfase.solver import NoiseSpec, initialize, make_grid, run, step
+from sfase.cli import EXIT_KERNEL, EXIT_OK, EXIT_RUNTIME, main
+from sfase.solver import (NoiseSpec, initialize, make_grid, noise_normals,
+                          run, step)
 
 # Per-step agreement with the reference, both stepped from the same state:
 # populations (whose trace is 1) to this absolute error, and every row of
@@ -123,6 +127,177 @@ def test_non_finite_reaches_check_finite_as_in_reference(toy, name, cell,
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert f"non-finite value in {named} at step 61 " in messages[0]
+
+
+# ---------------------------------------------------------------------------
+# the v1 noise draw
+# ---------------------------------------------------------------------------
+
+# |x| above the ziggurat's base-strip edge r comes only from its tail branch
+ZIGGURAT_R = 3.6541528853610087963519472518
+
+
+def kernel_normals(noise: NoiseSpec, istep: int, n: int) -> np.ndarray:
+    """The kernel's v1 normals for one step, shape (4, n) like noise_normals.
+
+    One sfase_step from zero coherences and fields with rho22 = 1, no pump,
+    gamma = 0, dt = 2 and a noise power of 1: every deterministic term is 0
+    and the noise scale sqrt(dt/2 * 1 * rho22) is exactly 1, so the new
+    coherences are the drawn normals themselves."""
+    lib, ffi = kernel.load()
+    pop = np.zeros((3, n))
+    pop[2] = 1.0
+    zeros = np.zeros((2, n), dtype=complex)
+    out = [np.empty((3, n)), np.empty((2, n), dtype=complex),
+           np.empty((2, n), dtype=complex), np.empty(n)]
+    buf = functools.partial(ffi.from_buffer, "double[]")
+    seed = noise.master_seed
+    assert lib.sfase_step(
+        n, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, buf(pop), buf(zeros),
+        buf(zeros), buf(np.zeros(n)), True, seed % 2**64, seed >> 64,
+        noise.realization_index, istep, *(buf(a, True) for a in out)) == 0
+    coh = out[1]
+    # rows (Re+, Im+, Re-, Im-)
+    return np.stack([coh[0].real, coh[0].imag, coh[1].real, coh[1].imag])
+
+
+def random_coordinates(rng, count: int):
+    """(NoiseSpec, istep, n_nodes) triples: seeds below 2**63, every fourth
+    one with a nonzero high word as well, and indices, steps and node
+    counts up to 700; the last triple has a single node."""
+    for k in range(count):
+        seed = int(rng.integers(0, 2**63))
+        if k % 4 == 3:
+            seed += int(rng.integers(1, 2**63)) << 64
+        n = 1 if k == count - 1 else int(rng.integers(1, 701))
+        yield (NoiseSpec(seed, int(rng.integers(0, 2**20))),
+               int(rng.integers(0, 2**17)), n)
+
+
+def test_kernel_noise_equals_numpy_v1():
+    # about 1.1M normals: enough to pass through the ziggurat's tail (about
+    # 2.6e-4 of the draws) and wedge (about 1%) rejection branches
+    rng = np.random.default_rng(20260514)
+    normals = tail = 0
+    for noise, istep, n in [*random_coordinates(rng, 800),
+                            (NoiseSpec(2**64 + 5, 2), 7, 557),
+                            (NoiseSpec(2**128 - 1, 2**40), 2**33, 1)]:
+        want = noise_normals(noise, istep, n)
+        got = kernel_normals(noise, istep, n)
+        np.testing.assert_array_equal(got, want, err_msg=f"{noise} step {istep}")
+        normals += want.size
+        tail += np.count_nonzero(np.abs(want) > ZIGGURAT_R)
+    assert normals > 1_000_000
+    assert tail > 150
+
+
+# noise_normals(NoiseSpec(851, 3), 100, 557).ravel(): the first and last four
+GOLDEN_851 = [1.261542552936106, -1.0185040608286728, -1.8312788929556338,
+              0.32949311433785494, -0.7074352375117653, 0.4927241743997063,
+              2.519594547925555, 0.010049242616707867]
+# noise_normals(NoiseSpec(2**64 + 5, 7), 0, 1).ravel(): a seed that sets the
+# key's high word
+GOLDEN_HIGH_KEY = [-0.6083750606136694, -0.45027724945666925,
+                   -1.4956743526370093, -0.953870990657995]
+
+
+@pytest.mark.parametrize("draw", [noise_normals, kernel_normals],
+                         ids=["numpy", "kernel"])
+def test_v1_normals_are_pinned(draw):
+    # v1 is these numbers: a numpy release with another ziggurat, or a
+    # kernel change, fails here rather than changing seeded results
+    z = draw(NoiseSpec(851, 3), 100, 557).ravel()
+    assert [*z[:4], *z[-4:]] == GOLDEN_851
+    assert list(draw(NoiseSpec(2**64 + 5, 7), 0, 1).ravel()) == GOLDEN_HIGH_KEY
+
+
+def numpy_ziggurat_tables() -> dict:
+    """ki_double, wi_double and fi_double as compiled into numpy: the local
+    symbols of the distributions object in numpy's static libnpyrandom.a,
+    read from a little-endian ELF64 member of the archive."""
+    archive = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
+    if not archive.exists():
+        pytest.skip("numpy ships no libnpyrandom.a here")
+    data = archive.read_bytes()
+    pos, tables = 8, {}  # after the "!<arch>\n" magic
+    while pos + 60 <= len(data):
+        size = int(data[pos + 48:pos + 58])
+        member = data[pos + 60:pos + 60 + size]
+        pos += 60 + size + size % 2
+        if member[:6] != b"\x7fELF\x02\x01":
+            continue
+        shoff, = struct.unpack_from("<Q", member, 0x28)
+        shnum, = struct.unpack_from("<H", member, 0x3C)
+        # (type, offset, size, link) of every section
+        sections = [struct.unpack_from("<4xI16xQQI", member, shoff + 64 * i)
+                    for i in range(shnum)]
+        for kind, offset, length, link in sections:
+            if kind != 2:  # SHT_SYMTAB
+                continue
+            names = sections[link][1]
+            for at in range(offset, offset + length, 24):
+                name_at, shndx, value, nbytes = struct.unpack_from(
+                    "<I2xHQQ", member, at)
+                name = member[names + name_at:member.index(
+                    b"\0", names + name_at)].decode()
+                if name in ("ki_double", "wi_double", "fi_double"):
+                    start = sections[shndx][1] + value
+                    tables[name] = np.frombuffer(
+                        member[start:start + nbytes],
+                        "<u8" if name == "ki_double" else "<f8")
+    if len(tables) != 3:
+        pytest.skip("no ELF ziggurat tables in numpy's libnpyrandom.a")
+    return tables
+
+
+def test_ziggurat_tables_are_numpys():
+    # a one-ulp change to a wedge or acceptance bound shows in about one
+    # draw in 2**52, so no sample finds it: compare the tables themselves
+    source = (Path(kernel.__file__).parent / kernel.SOURCE).read_text()
+    for name, want in numpy_ziggurat_tables().items():
+        body = re.search(rf"{name}\[256\] = {{(.*?)}};", source, re.S)[1]
+        literals = [v.strip() for v in body.split(",")]
+        got = ([int(v.removesuffix("ULL"), 16) for v in literals]
+               if name == "ki_double" else [float(v) for v in literals])
+        assert got == want.tolist(), name
+
+
+def test_portable_mulhilo_draws_the_same_normals(tmp_path, monkeypatch):
+    # a compiler without __uint128_t takes the 32-bit-limb product
+    monkeypatch.setattr(kernel, "CFLAGS",
+                        kernel.CFLAGS + ("-U__SIZEOF_INT128__",))
+    monkeypatch.setattr(kernel, "_loaded", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert not kernel.module_path().exists()
+    rng = np.random.default_rng(5)
+    for noise, istep, n in random_coordinates(rng, 40):
+        np.testing.assert_array_equal(kernel_normals(noise, istep, n),
+                                      noise_normals(noise, istep, n))
+    assert kernel.module_path().exists()
+
+
+def test_noise_allocation_failure_raises(toy, toy_dict, tmp_path,
+                                         monkeypatch):
+    # the kernel returns -1 when it cannot allocate the normals: step
+    # raises, and the CLI reports a runtime failure
+    lib, ffi = kernel.load()
+
+    class NoMemory:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def sfase_step(self, *args):
+            return -1
+
+    monkeypatch.setattr(kernel, "load", lambda: (NoMemory(), ffi))
+    grid = make_grid(toy)
+    with pytest.raises(MemoryError,
+                       match=f"noise normals of {grid.n_nodes} nodes"):
+        step(initialize(toy, grid), toy, grid, NoiseSpec(1))
+    toy_file = tmp_path / "toy.json"
+    toy_file.write_text(json.dumps(toy_dict))
+    assert main(["run", "--scenario", str(toy_file),
+                 "--out", str(tmp_path / "run")]) == EXIT_RUNTIME
 
 
 # ---------------------------------------------------------------------------
