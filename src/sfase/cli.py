@@ -51,12 +51,11 @@ def _scenario_dict(ref: str) -> dict:
     return raw
 
 
-def _add_common(sub, out_required=True):
+def _add_common(sub):
     sub.add_argument("--scenario", help=f"scenario JSON path or preset name "
                      f"({', '.join(PRESETS)})")
     sub.add_argument("--from-manifest", help="re-run the plan stored in a manifest")
-    if out_required:
-        sub.add_argument("--out", help="output directory")
+    sub.add_argument("--out", help="output directory")
     sub.add_argument("--seed", type=int, default=0, help="master seed")
     sub.add_argument("--workers", type=int, default=None,
                      help="worker processes (default 1; with --from-manifest, "

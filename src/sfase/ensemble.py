@@ -29,6 +29,8 @@ SPECTRUM_PAD = 4
 PHOTON_BINS = 30
 DELAY_BINS = 50
 BOOTSTRAP_RESAMPLES = 1000
+SPLIT_REL_HEIGHT = 0.5
+SPLIT_MIN_SEPARATION = 3
 # resampled values a bootstrap holds at once, whatever the ensemble size
 BOOTSTRAP_CHUNK = 1 << 14
 # tasks a pool keeps in flight per worker: enough to compute ahead while the
@@ -52,17 +54,16 @@ def pulse_area(omega_series, dt: float):
     return float(area) if area.ndim == 0 else area
 
 
-def spectrum(omega_series, dt: float,
-             pad_factor: int = SPECTRUM_PAD) -> tuple[np.ndarray, np.ndarray]:
+def spectrum(omega_series, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Spectral intensity |integral Omega(t) e^{i w t} dt|^2 of the envelope.
 
     Returns (detuning axis rad/ps ascending, intensity); stacked series are
     transformed along their last (time) axis.  No window; the series is
-    zero-padded pad_factor-fold for peak localization.  The dt factor is
+    zero-padded SPECTRUM_PAD-fold for peak localization.  The dt factor is
     kept so the discrete Parseval identity holds exactly.
     """
     series = np.asarray(omega_series, dtype=complex)
-    n_pad = pad_factor * series.shape[-1]
+    n_pad = SPECTRUM_PAD * series.shape[-1]
     coeffs = dt * np.fft.fft(series, n=n_pad, axis=-1)
     omega_axis, order = spectral_axis(n_pad, dt)
     return omega_axis, np.abs(coeffs[..., order]) ** 2
@@ -102,15 +103,15 @@ def histogram(values, edges) -> tuple[np.ndarray, np.ndarray]:
     return counts, edges
 
 
-def photon_bin_edges(values: np.ndarray, nbins: int = PHOTON_BINS) -> np.ndarray:
-    """Logarithmic edges spanning the observed positive range."""
+def photon_bin_edges(values: np.ndarray) -> np.ndarray:
+    """PHOTON_BINS logarithmic bins spanning the observed positive range."""
     positive = values[values > 0.0]
     if positive.size == 0:
-        return np.logspace(0.0, 1.0, nbins + 1)
+        return np.logspace(0.0, 1.0, PHOTON_BINS + 1)
     lo, hi = positive.min(), positive.max()
     if hi <= lo * (1.0 + 1.0e-12):
         lo, hi = lo * 0.5, hi * 2.0
-    return np.logspace(math.log10(lo), math.log10(hi), nbins + 1)
+    return np.logspace(math.log10(lo), math.log10(hi), PHOTON_BINS + 1)
 
 
 @dataclass(frozen=True)
@@ -208,17 +209,17 @@ def _reduce_one(spec: EnsembleSpec, index: int):
     return index, scalars, intensity, spec_out, rec.max_trace_error
 
 
-def _bootstrap_ci(values: np.ndarray, seed: int, stat=np.mean,
-                  n_resamples: int = BOOTSTRAP_RESAMPLES) -> tuple[float, float]:
+def _bootstrap_ci(values: np.ndarray, seed: int) -> tuple[float, float]:
+    """95% percentile interval of the mean over BOOTSTRAP_RESAMPLES resamples."""
     # drawn in blocks of rows: the generator yields the same index stream
     # for any block size, so the interval does not depend on it
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = len(values)
     rows = max(1, BOOTSTRAP_CHUNK // n)
     stats = np.concatenate([
-        stat(values[rng.integers(0, n, size=(min(rows, n_resamples - start), n))],
-             axis=1)
-        for start in range(0, n_resamples, rows)])
+        np.mean(values[rng.integers(
+            0, n, size=(min(rows, BOOTSTRAP_RESAMPLES - start), n))], axis=1)
+        for start in range(0, BOOTSTRAP_RESAMPLES, rows)])
     return (float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5)))
 
 
@@ -386,17 +387,15 @@ def _fold(spec: EnsembleSpec, outcomes: Iterator
 
 
 def detect_spectral_splitting(omega_axis: np.ndarray, s: np.ndarray,
-                              resolution: float,
-                              min_separation_bins: int = 3,
-                              rel_height: float = 0.5) -> bool:
-    """True if the spectrum has two maxima above rel_height of the global
-    peak separated by at least min_separation_bins resolution widths."""
+                              resolution: float) -> bool:
+    """True if the spectrum has two maxima above SPLIT_REL_HEIGHT of the
+    global peak separated by at least SPLIT_MIN_SEPARATION resolution widths."""
     from scipy.signal import find_peaks
 
     if not np.any(s > 0.0):
         return False
-    peaks, _ = find_peaks(s, height=rel_height * float(np.max(s)))
+    peaks, _ = find_peaks(s, height=SPLIT_REL_HEIGHT * float(np.max(s)))
     if len(peaks) < 2:
         return False
     sep = omega_axis[peaks[-1]] - omega_axis[peaks[0]]
-    return bool(sep >= min_separation_bins * resolution)
+    return bool(sep >= SPLIT_MIN_SEPARATION * resolution)

@@ -132,9 +132,8 @@ class FitResult:
     message: str = ""
 
 
-def fit(family: str | ModelFamily, x, y, initial_guess=None,
-        weights=None, relative: bool = False) -> FitResult:
-    """Levenberg-Marquardt fit of one model family.
+def fit(family: str, x, y, relative: bool = False) -> FitResult:
+    """Levenberg-Marquardt fit of one FAMILIES model from its own guess.
 
     relative=True divides residuals by |y| (scale-free fit for positive
     data spanning decades).  Deterministic for identical inputs.
@@ -143,14 +142,10 @@ def fit(family: str | ModelFamily, x, y, initial_guess=None,
     # the fit command and the regime classifier minimize
     from scipy.optimize import least_squares
 
-    if isinstance(family, str):
-        if family not in FAMILIES:
-            raise FitError(
-                f"unknown model family {family!r}; choose from "
-                f"{sorted(FAMILIES)}")
-        model = FAMILIES[family]
-    else:
-        model = family
+    if family not in FAMILIES:
+        raise FitError(
+            f"unknown model family {family!r}; choose from {sorted(FAMILIES)}")
+    model = FAMILIES[family]
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -160,20 +155,13 @@ def fit(family: str | ModelFamily, x, y, initial_guess=None,
     if len(x) < model.n_params + 1:
         raise FitError(
             f"{model.name} needs at least {model.n_params + 1} points, got {len(x)}")
-    if weights is None:
-        weights = np.ones_like(y)
-        if relative:
-            scale = np.abs(y)
-            if np.any(scale == 0.0):
-                raise FitError("relative fit requires non-zero data")
-            weights = 1.0 / scale
-    else:
-        weights = np.asarray(weights, dtype=float)
-
-    coeffs = (np.array(initial_guess, dtype=float) if initial_guess is not None
-              else np.asarray(model.guess(x, y), dtype=float))
-    if len(coeffs) != model.n_params:
-        raise FitError(f"{model.name} expects {model.n_params} coefficients")
+    weights = 1.0
+    if relative:
+        scale = np.abs(y)
+        if np.any(scale == 0.0):
+            raise FitError("relative fit requires non-zero data")
+        weights = 1.0 / scale
+    coeffs = np.asarray(model.guess(x, y), dtype=float)
 
     def residuals(c):
         return weights * (model.func(c, x) - y)

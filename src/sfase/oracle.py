@@ -13,9 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Scenario, CONSTANTS, PhysicalConstants, depletion_scale
+from .params import C_MM_PER_PS, EPS0_SI, HBAR_SI, Scenario, depletion_scale
 
 LN2 = math.log(2.0)
+QUAD_TOL = 1.0e-8            # absolute tolerance of rho22_quadrature
+MAX_INVERSION_POINTS = 400   # window times max_inversion evaluates
+FORWARD_WEIGHT = 0.5         # forward weighting P of the gain exponent
 
 
 class OracleError(RuntimeError):
@@ -59,7 +62,7 @@ def jp_analytic(t, z, scen: Scenario):
         warnings.warn(f"n*sigma*L = {nsl:.3g} > 0.05: pump depletion is not "
                       f"negligible", ValidityWarning, stacklevel=2)
     t = np.asarray(t, dtype=float)
-    arg = (t - scen.pump.tau_i - z / scen.constants.c) / scen.pump.tau_p
+    arg = (t - scen.pump.tau_i - z / C_MM_PER_PS) / scen.pump.tau_p
     return _pump_peak(scen) * np.exp(-scen.medium.n * scen.medium.sigma * z
                                      - arg**2)
 
@@ -69,11 +72,11 @@ def rho00_analytic(t, z, scen: Scenario):
     from scipy.special import erf
 
     t = np.asarray(t, dtype=float)
-    arg = (t - scen.pump.tau_i - z / scen.constants.c) / scen.pump.tau_p
+    arg = (t - scen.pump.tau_i - z / C_MM_PER_PS) / scen.pump.tau_p
     return np.exp(-depletion_scale(scen) * (1.0 + erf(arg)))
 
 
-def rho22_quadrature(t, scen: Scenario, tol: float = 1.0e-8):
+def rho22_quadrature(t, scen: Scenario):
     """Excited-state population at z=0 from the exact linear-ODE integral.
 
     rho22(t) = integral_0^t sigma*J_p(s)*rho00(s) * exp(-Gamma(t-s)) ds, and
@@ -85,16 +88,16 @@ def rho22_quadrature(t, scen: Scenario, tol: float = 1.0e-8):
                    + integral_t'^t sigma*J_p*rho00 * exp(-Gamma(t-s)) ds.
 
     The quadrature error estimates accumulate through the same recurrence;
-    OracleError is raised once the accumulated estimate exceeds 10*tol.  The
-    exponent is assembled inside the integrand so it stays bounded even when
-    the depletion scale is large.  Accepts a scalar (returns a float) or an
+    OracleError is raised once the accumulated estimate exceeds 10*QUAD_TOL.
+    The exponent is assembled inside the integrand so it stays bounded even
+    when the depletion scale is large.  Accepts a scalar (returns a float) or an
     array of times in any order (returns an array of the same shape).
     """
     gamma = scen.transition.gamma
     tau_p, tau_i = scen.pump.tau_p, scen.pump.tau_i
     q = depletion_scale(scen)
     amp = scen.medium.sigma * _pump_peak(scen)
-    epsabs = tol / max(amp, 1.0)
+    epsabs = QUAD_TOL / max(amp, 1.0)
     # integrand is a single pulse centered near tau_i; pass it as a point
     breaks = (tau_i - 3 * tau_p, tau_i, tau_i + 3 * tau_p)
 
@@ -124,10 +127,10 @@ def rho22_quadrature(t, scen: Scenario, tol: float = 1.0e-8):
         decay = math.exp(-gamma * (ti - prev_t))
         r22 = r22 * decay + amp * val
         err = err * decay + amp * val_err
-        if err > 10.0 * tol:
+        if err > 10.0 * QUAD_TOL:
             raise OracleError(
                 f"rho22 quadrature at t={ti:g} ps: estimated error "
-                f"{err:.3g} exceeds tolerance {tol:g}")
+                f"{err:.3g} exceeds tolerance {QUAD_TOL:g}")
         out[k] = r22
         prev_t = ti
     if np.isscalar(t):
@@ -135,18 +138,18 @@ def rho22_quadrature(t, scen: Scenario, tol: float = 1.0e-8):
     return out.reshape(times.shape)
 
 
-def inversion_quadrature(t, scen: Scenario, tol: float = 1.0e-8):
+def inversion_quadrature(t, scen: Scenario):
     """I(t, 0) = rho22 - rho11 with rho22 from quadrature and trace closure."""
-    r22 = rho22_quadrature(t, scen, tol=tol)
+    r22 = rho22_quadrature(t, scen)
     r00 = rho00_analytic(t, 0.0, scen)
     return 2.0 * r22 + r00 - 1.0
 
 
-def max_inversion(scen: Scenario, n_t: int = 400) -> float:
+def max_inversion(scen: Scenario) -> float:
     """Peak of I(t, 0) from the analytic quadrature, on a pump-resolved grid."""
     t_hi = scen.pump.tau_i + 6.0 * scen.pump.tau_p + 3.0 * scen.transition.tau2
     t_lo = max(scen.pump.tau_i - 4.0 * scen.pump.tau_p, 0.0)
-    ts = np.linspace(t_lo, t_hi, n_t)
+    ts = np.linspace(t_lo, t_hi, MAX_INVERSION_POINTS)
     return float(np.max(inversion_quadrature(ts, scen)))
 
 
@@ -172,7 +175,7 @@ def inversion_closed_form(t, z, scen: Scenario, heaviside: bool = False):
             ValidityWarning, stacklevel=2)
     t = np.asarray(t, dtype=float)
     gamma = scen.transition.gamma
-    shift = t - scen.pump.tau_i - z / scen.constants.c + u_factor(scen) * scen.pump.tau_p
+    shift = t - scen.pump.tau_i - z / C_MM_PER_PS + u_factor(scen) * scen.pump.tau_p
     osc = 2.0 * np.exp(-gamma * shift) - 1.0
     if heaviside:
         return osc * (shift > 0.0)
@@ -182,7 +185,7 @@ def inversion_closed_form(t, z, scen: Scenario, heaviside: bool = False):
 def gain_window(scen: Scenario, z: float = 0.0) -> tuple[float, float]:
     """Zero crossings of the closed-form inversion: onset and end of gain."""
     u = u_factor(scen)
-    onset = scen.pump.tau_i + z / scen.constants.c - u * scen.pump.tau_p
+    onset = scen.pump.tau_i + z / C_MM_PER_PS - u * scen.pump.tau_p
     return onset, onset + scen.transition.tau2 * LN2
 
 
@@ -192,23 +195,21 @@ class GainEstimate:
     two_xi_limit: float   # v -> c upper bound
     v_min: float          # slowest group velocity still inside the gain window
     v_max: float          # = c
-    p_weight: float       # forward weighting P
 
 
-def _two_xi_of_v(v: float, l_gamma: float, utg: float, c: float, p: float) -> float:
+def _two_xi_of_v(v: float, l_gamma: float, utg: float) -> float:
     """Gain factor 2*xi; x = (1/c - 1/v)*L*Gamma stays finite as v -> c."""
+    c = C_MM_PER_PS
     x = (1.0 / c - 1.0 / v) * l_gamma
     phase = math.expm1(x) / x if x != 0.0 else 1.0
-    return (p / 4.0) * (l_gamma / v - l_gamma / c + 2.0 * utg - 2.0
-                        - math.log(4.0) + 4.0 * math.exp(-utg) * phase)
+    return (FORWARD_WEIGHT / 4.0) * (
+        l_gamma / v - l_gamma / c + 2.0 * utg - 2.0 - math.log(4.0)
+        + 4.0 * math.exp(-utg) * phase)
 
 
-def gain_estimate(scen: Scenario, v: float | None = None,
-                  p_weight: float = 0.5) -> GainEstimate:
+def gain_estimate(scen: Scenario, v: float | None = None) -> GainEstimate:
     """Swept-gain ASE exponent 2*xi(v), its v->c bound, and the valid v range."""
-    if not 0.0 < p_weight <= 1.0:
-        raise ValueError("p_weight must be in (0, 1]")
-    c = scen.constants.c
+    c = C_MM_PER_PS
     gamma = scen.transition.gamma
     l_gamma = scen.medium.L * gamma
     utg = u_factor(scen) * scen.pump.tau_p * gamma
@@ -223,10 +224,10 @@ def gain_estimate(scen: Scenario, v: float | None = None,
             f"v = {v:g} mm/ps is below the gain-window bound {v_min:g} mm/ps: "
             f"emission at this velocity is reabsorbed", ValidityWarning,
             stacklevel=2)
-    two_xi = _two_xi_of_v(v, l_gamma, utg, c, p_weight)
-    limit = _two_xi_of_v(c, l_gamma, utg, c, p_weight)
+    two_xi = _two_xi_of_v(v, l_gamma, utg)
+    limit = _two_xi_of_v(c, l_gamma, utg)
     return GainEstimate(two_xi=two_xi, two_xi_limit=limit,
-                        v_min=v_min, v_max=c, p_weight=p_weight)
+                        v_min=v_min, v_max=c)
 
 
 def sf_delay(alpha, scale: float = 1.0):
@@ -246,8 +247,7 @@ def pi_half_photons(r: float, lam: float) -> float:
 
 
 def photons_from_envelope(omega_series, dt: float, r: float, d: float,
-                          omega: float,
-                          constants: PhysicalConstants = CONSTANTS):
+                          omega: float):
     """Convert a Rabi-envelope record to an emitted photon number.
 
     n_e = c eps0 pi r^2 hbar * integral |Omega|^2 dt / (2 d^2 omega), with
@@ -260,7 +260,7 @@ def photons_from_envelope(omega_series, dt: float, r: float, d: float,
     intg_si = intg * 1.0e12                            # rad^2/s
     r_si = r * 1.0e-3
     omega_si = omega * 1.0e12
-    c_si = constants.c * 1.0e9
-    photons = (c_si * constants.eps0 * math.pi * r_si**2 * constants.hbar
+    c_si = C_MM_PER_PS * 1.0e9
+    photons = (c_si * EPS0_SI * math.pi * r_si**2 * HBAR_SI
                * intg_si / (2.0 * d**2 * omega_si))
     return float(photons) if photons.ndim == 0 else photons

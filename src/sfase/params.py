@@ -26,20 +26,6 @@ class ParameterError(ValueError):
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    c: float = C_MM_PER_PS
-    eps0: float = EPS0_SI
-    hbar: float = HBAR_SI
-
-    def __post_init__(self):
-        if not (self.c > 0 and self.eps0 > 0 and self.hbar > 0):
-            raise ParameterError("physical constants must be strictly positive")
-
-
-CONSTANTS = PhysicalConstants()
-
-
-@dataclass(frozen=True)
 class TransitionParams:
     """The lasing transition |1> -> |2>: frequency, dipole, decay."""
 
@@ -75,11 +61,9 @@ class MediumParams:
     r: float        # pump spot radius (mm)
 
     def __post_init__(self):
-        for name in ("n", "L", "sigma"):
+        for name in ("n", "L", "sigma", "r"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"medium.{name} must be strictly positive")
-        if self.r < 0:
-            raise ParameterError("medium.r must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -115,34 +99,31 @@ class DerivedParams:
 
 def solid_angle(r: float, L: float) -> float:
     """Complete collection solid angle 2 pi (1 - 1/sqrt(1 + r^2/L^2))."""
-    if r == 0.0:
-        return 0.0
     x = (r / L) ** 2
     # expm1-style guard: 1 - 1/sqrt(1+x) loses precision for tiny x
     return 2.0 * math.pi * x / (math.sqrt(1.0 + x) * (1.0 + math.sqrt(1.0 + x)))
 
 
-def derive(constants: PhysicalConstants, transition: TransitionParams,
-           medium: MediumParams, pump: PumpParams) -> DerivedParams:
+def derive(transition: TransitionParams, medium: MediumParams,
+           pump: PumpParams) -> DerivedParams:
     """Compute every derived quantity of a scenario."""
     alpha = medium.n * transition.sigma_r * medium.L
     eta = transition.gamma * alpha / (2.0 * medium.L)
     phi = solid_angle(medium.r, medium.L)
     k0 = (phi * transition.gamma**2 * transition.omega**2
-          / (24.0 * medium.n * math.pi**2 * constants.c**3))
+          / (24.0 * medium.n * math.pi**2 * C_MM_PER_PS**3))
     return DerivedParams(
         alpha=alpha,
         eta=eta,
         phi=phi,
-        l_g=gain_length(pump.tau_p, constants),
-        l_g_coherence=gain_length(transition.tau2, constants),
+        l_g=gain_length(pump.tau_p),
+        l_g_coherence=gain_length(transition.tau2),
         fresnel=math.pi * medium.r**2 / (medium.L * transition.lam),
         noise_prefactor=k0,
     )
 
 
-def gamma_from_dipole(d: float, omega: float,
-                      constants: PhysicalConstants = CONSTANTS) -> float:
+def gamma_from_dipole(d: float, omega: float) -> float:
     """Spontaneous decay rate d^2 w^3 / (3 pi eps0 hbar c^3), returned in 1/ps.
 
     d in C m, omega in rad/ps.
@@ -150,13 +131,13 @@ def gamma_from_dipole(d: float, omega: float,
     if d < 0 or omega < 0:
         raise ParameterError("d and omega must be non-negative")
     omega_si = omega * 1.0e12
-    c_si = constants.c * 1.0e9   # mm/ps -> m/s
-    gamma_si = d**2 * omega_si**3 / (3.0 * math.pi * constants.eps0
-                                     * constants.hbar * c_si**3)
+    c_si = C_MM_PER_PS * 1.0e9   # mm/ps -> m/s
+    gamma_si = d**2 * omega_si**3 / (3.0 * math.pi * EPS0_SI * HBAR_SI
+                                     * c_si**3)
     return gamma_si * 1.0e-12
 
 
-def gain_length(tau_ref: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def gain_length(tau_ref: float) -> float:
     """Transient gain length c*tau_ref/2.
 
     tau_ref is deliberately explicit: the pump duration gives the length of
@@ -165,14 +146,13 @@ def gain_length(tau_ref: float, constants: PhysicalConstants = CONSTANTS) -> flo
     """
     if not tau_ref > 0:
         raise ParameterError("tau_ref must be strictly positive")
-    return constants.c * tau_ref / 2.0
+    return C_MM_PER_PS * tau_ref / 2.0
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One full simulation scenario: inputs plus derived quantities."""
 
-    constants: PhysicalConstants
     transition: TransitionParams
     medium: MediumParams
     pump: PumpParams
@@ -180,8 +160,7 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "derived",
-                           derive(self.constants, self.transition,
-                                  self.medium, self.pump))
+                           derive(self.transition, self.medium, self.pump))
 
     def replace(self, **kwargs) -> "Scenario":
         """New scenario with selected medium/pump/transition fields changed.
@@ -192,7 +171,7 @@ class Scenario:
         for key in kwargs:
             if key not in REPLACEABLE:
                 raise ParameterError(f"unknown scenario field {key!r}")
-        return Scenario(self.constants, *(
+        return Scenario(*(
             replace_fields(part, **{k: v for k, v in kwargs.items()
                                     if k in part.__dataclass_fields__})
             for part in (self.transition, self.medium, self.pump)))
@@ -269,7 +248,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         tau_p=need("tau_p_fs") * FS_TO_PS,
         tau_i=need("tau_i_ps"),
     )
-    return Scenario(CONSTANTS, transition, medium, pump)
+    return Scenario(transition, medium, pump)
 
 
 # largest ground-state share the pump may excite before the t = 0 start
@@ -297,15 +276,14 @@ def validation_warnings(scen: Scenario) -> list[str]:
             f"pump depletion n*sigma*L = {nsl:.3g} exceeds 0.05; closed-form "
             f"pump-propagation results are outside their validity regime"
         )
-    if scen.medium.r > 0.0:
-        # the solver starts the pump at t = 0 with rho00 = 1, so the share of
-        # the ground state the Gaussian pumps before t = 0 is dropped
-        early = -math.expm1(-depletion_scale(scen)
-                            * math.erfc(scen.pump.tau_i / scen.pump.tau_p))
-        if early > PRE_PUMP_SHARE_MAX:
-            warns.append(
-                f"the pump excites {early:.3g} of the ground state before "
-                f"t = 0, where the simulation starts; a later tau_i (now "
-                f"{scen.pump.tau_i:g} ps) keeps the pump untruncated"
-            )
+    # the solver starts the pump at t = 0 with rho00 = 1, so the share of
+    # the ground state the Gaussian pumps before t = 0 is dropped
+    early = -math.expm1(-depletion_scale(scen)
+                        * math.erfc(scen.pump.tau_i / scen.pump.tau_p))
+    if early > PRE_PUMP_SHARE_MAX:
+        warns.append(
+            f"the pump excites {early:.3g} of the ground state before "
+            f"t = 0, where the simulation starts; a later tau_i (now "
+            f"{scen.pump.tau_i:g} ps) keeps the pump untruncated"
+        )
     return warns

@@ -80,6 +80,22 @@ class ExperimentPlan:
                 or not 0 <= seed < 2**128):
             raise ParameterError(
                 f"master seed must be an integer in [0, 2**128), got {seed!r}")
+        for name, least in (("n_realizations", 1), ("workers", 1),
+                            ("grid_nz", 1), ("snapshot_stride", 0)):
+            value = getattr(self, name)
+            if name == "grid_nz" and value is None:
+                continue
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < least):
+                raise ParameterError(
+                    f"plan.{name} must be an integer >= {least}, got {value!r}")
+        for name in ("t_end_ps", "fixed_alpha"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, (int, float))
+                                      or isinstance(value, bool)
+                                      or not value > 0):
+                raise ParameterError(
+                    f"plan.{name} must be a number > 0, got {value!r}")
         missing = [f for f in REQUIRED.get(self.kind, ()) if not getattr(self, f)]
         if missing:
             raise ParameterError(f"{self.kind} plan needs {' and '.join(missing)}")
@@ -155,7 +171,8 @@ def _ensemble_point(spec: EnsembleSpec, out_dir: Path,
     return row
 
 
-def _run_sweep(plan: ExperimentPlan, out: Path, points: list[dict]) -> None:
+def _run_sweep(plan: ExperimentPlan, out: Path, points: list[dict],
+               base: Scenario) -> None:
     """Shared sweep executor: one ensemble per point, one map row each.
 
     Every point's scenario and grid are resolved first; a point that
@@ -163,7 +180,6 @@ def _run_sweep(plan: ExperimentPlan, out: Path, points: list[dict]) -> None:
     valid points then share one stream of outcomes, so the workers compute
     the next point while this process folds and writes the current one.
     """
-    base = scenario_from_dict(plan.scenario)
     rows = [dict(overrides) for overrides in points]
     specs: dict[int, EnsembleSpec] = {}
     for i, overrides in enumerate(points):
@@ -189,18 +205,21 @@ def _run_sweep(plan: ExperimentPlan, out: Path, points: list[dict]) -> None:
 
 
 def run_plan(plan: ExperimentPlan) -> Path:
-    """Execute a plan, writing all artifacts plus the manifest."""
+    """Execute a plan, writing all artifacts plus the manifest.
+
+    The scenario is parsed before anything is written, so a bad one leaves
+    no artifacts behind.
+    """
+    scen = None if plan.kind == "fit" else scenario_from_dict(plan.scenario)
     step_kernel = kernel.info() if plan.kind in STEPPING_KINDS else None
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     io.write_manifest(plan.to_dict(), out, step_kernel)
 
     if plan.kind == "oracle":
-        scen = scenario_from_dict(plan.scenario)
         io.write_json(out / "oracle.json", oracle_report(scen))
 
     elif plan.kind == "single":
-        scen = scenario_from_dict(plan.scenario)
         grid = make_grid(scen, nz=plan.grid_nz, t_end=plan.t_end_ps)
         noise = NoiseSpec(master_seed=plan.master_seed, realization_index=0)
         rec = run(scen, grid, noise, snapshot_stride=plan.snapshot_stride)
@@ -213,29 +232,26 @@ def run_plan(plan: ExperimentPlan) -> Path:
                             for k in range(grid.n_nodes)])
 
     elif plan.kind == "ensemble":
-        _ensemble_point(_ensemble_spec(scenario_from_dict(plan.scenario), plan),
-                        out)
+        _ensemble_point(_ensemble_spec(scen, plan), out)
 
     elif plan.kind == "sweep":
         points = [dict(zip(plan.axes, values))
                   for values in itertools.product(*plan.axes.values())]
         if plan.fixed_alpha is not None:
-            base = scenario_from_dict(plan.scenario)
             for p in points:
-                p["n"] = plan.fixed_alpha / (base.transition.sigma_r
-                                             * p.get("L", base.medium.L))
-        _run_sweep(plan, out, points)
+                p["n"] = plan.fixed_alpha / (scen.transition.sigma_r
+                                             * p.get("L", scen.medium.L))
+        _run_sweep(plan, out, points, scen)
 
     elif plan.kind == "sweep_Tp":
         # pump-structure study: max inversion at z=0 from the analytic
         # quadrature, scanning pump duration at fixed peak flux per Q; a T_p
         # row that cannot be built or integrated becomes an error row
         qs = plan.q_grid or [1.0]
-        base = scenario_from_dict(plan.scenario)
         rows = []
         for tp_fs in plan.tp_grid_fs:
             try:
-                values = [max_inversion(base.replace(tau_p=tp_fs * 1.0e-3,
+                values = [max_inversion(scen.replace(tau_p=tp_fs * 1.0e-3,
                                                      n_p=q * tp_fs * 1.0e12))
                           for q in qs]
                 error = ""

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .params import Scenario, MediumParams, PumpParams
+from .params import C_MM_PER_PS, Scenario, MediumParams, PumpParams
 
 log = logging.getLogger(__name__)
 
@@ -84,7 +84,7 @@ class GridSpec:
 
 def default_t_end(scen: Scenario) -> float:
     """tau_i + L/c + 6*tau2: pump transit plus the delayed burst window."""
-    return (scen.pump.tau_i + scen.medium.L / scen.constants.c
+    return (scen.pump.tau_i + scen.medium.L / C_MM_PER_PS
             + 6.0 * scen.transition.tau2)
 
 
@@ -95,13 +95,15 @@ def make_grid(scen: Scenario, nz: int | None = None,
     With nz=None the coarsest grid resolving both the pump envelope
     (dt <= tau_p/20) and the decay (dt <= tau2/50) is chosen.
     """
-    c = scen.constants.c
     dt_max = min(scen.pump.tau_p / PUMP_RESOLUTION,
                  scen.transition.tau2 / DECAY_RESOLUTION)
     if nz is None:
-        nz = max(1, int(math.ceil(scen.medium.L / (c * dt_max) - 1.0e-9)))
+        nz = max(1, int(math.ceil(scen.medium.L / (C_MM_PER_PS * dt_max)
+                                  - 1.0e-9)))
+    if nz < 1:
+        raise GridError(f"nz must be >= 1, got {nz}")
     dz = scen.medium.L / nz
-    dt = dz / c
+    dt = dz / C_MM_PER_PS
     if dt > dt_max * (1.0 + 1.0e-12):
         raise GridError(
             f"nz={nz} gives dt={dt:.4g} ps, above the resolution limit "

@@ -186,6 +186,69 @@ def test_largest_seed_runs(tmp_path, toy_file):
                  f"--seed={2**128 - 1}"]) == EXIT_OK
 
 
+# (command, flags, scenario keys replaced, field the error message names)
+BAD_SIZES = [
+    *[(command, flags, overrides, field)
+      for command in ("run", "ensemble", "sweep")
+      for flags, overrides, field in [
+          (["--ne", "0"], {}, "n_realizations"),
+          (["--workers", "0"], {}, "workers"),
+          (["--grid-nz", "0"], {}, "grid_nz"),
+          (["--grid-nz", "-3"], {}, "grid_nz"),
+          (["--t-end", "0"], {}, "t_end_ps"),
+          ([], {"r_um": 0.0}, "medium.r")]],
+    ("run", ["--snapshots", "-1"], {}, "snapshot_stride"),
+    ("sweep", ["--fixed-alpha", "0"], {}, "fixed_alpha"),
+    ("validate", ["--grid-nz", "0"], {}, "nz"),
+    ("validate", ["--grid-nz", "-3"], {}, "nz"),
+    ("validate", [], {"r_um": 0.0}, "medium.r"),
+]
+
+
+@pytest.mark.parametrize("command, flags, overrides, field", BAD_SIZES,
+                         ids=[f"{c}-{f}{''.join(fl)}" for c, fl, _, f in BAD_SIZES])
+def test_bad_count_or_size_is_config_error(tmp_path, toy_dict, capsys, command,
+                                           flags, overrides, field):
+    # checked before anything is written: no manifest, no output directory
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**toy_dict, **overrides}))
+    if command == "validate":
+        argv = ["validate", str(scenario)]
+    else:
+        argv = [command, "--scenario", str(scenario),
+                "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--kind", "L", "--l-grid", "0.02,0.03"]
+    assert main(argv + flags) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [scenario]
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("ensemble", "n_realizations", 0),
+    ("ensemble", "n_realizations", True),
+    ("ensemble", "n_realizations", 2.0),
+    ("ensemble", "workers", 0),
+    ("ensemble", "grid_nz", 0),
+    ("ensemble", "t_end_ps", -1.0),
+    ("single", "snapshot_stride", -1),
+    ("sweep", "fixed_alpha", 0.0),
+])
+def test_bad_manifest_count_or_size_is_config_error(tmp_path, toy_dict, capsys,
+                                                    kind, field, value):
+    out = tmp_path / "out"
+    plan = {"kind": kind, "scenario": toy_dict, "out_dir": str(out),
+            "n_realizations": 1, "axes": {"L": [0.02, 0.03]}, field: value}
+    if kind != "sweep":
+        del plan["axes"]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"plan": plan}))
+    command = {"single": "run", "ensemble": "ensemble", "sweep": "sweep"}[kind]
+    assert main([command, "--from-manifest", str(manifest)]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_replay_takes_explicit_workers(tmp_path, toy_file):
     out = tmp_path / "ens"
     assert main(["ensemble", "--scenario", toy_file, "--out", str(out),

@@ -108,7 +108,7 @@ def test_histogram_counts_everything():
 
 def test_photon_bin_edges_log_spaced():
     vals = np.array([1e3, 1e5, 1e9])
-    edges = photon_bin_edges(vals, nbins=30)
+    edges = photon_bin_edges(vals)
     assert len(edges) == 31
     ratios = edges[1:] / edges[:-1]
     assert np.allclose(ratios, ratios[0])

@@ -21,6 +21,7 @@ from sfase.oracle import (
     sf_delay,
     u_factor,
 )
+from sfase.params import C_MM_PER_PS
 
 LN2 = math.log(2.0)
 
@@ -42,7 +43,7 @@ def test_jp_attenuation_along_z(fig3a):
     t = fig3a.pump.tau_i + np.array([0.0])
     j0 = jp_analytic(t, 0.0, fig3a)[0]
     z = fig3a.medium.L
-    jL = jp_analytic(t + z / fig3a.constants.c, z, fig3a)[0]
+    jL = jp_analytic(t + z / C_MM_PER_PS, z, fig3a)[0]
     nsl = fig3a.medium.n * fig3a.medium.sigma * z
     assert jL / j0 == pytest.approx(math.exp(-nsl), rel=1.0e-12)
 
@@ -242,7 +243,7 @@ def test_gain_window_duration_is_tau2_ln2(fig3a, fig3b):
 def test_gain_window_shifts_with_z(fig3a):
     on0, _ = gain_window(fig3a, z=0.0)
     onL, _ = gain_window(fig3a, z=fig3a.medium.L)
-    assert onL - on0 == pytest.approx(fig3a.medium.L / fig3a.constants.c)
+    assert onL - on0 == pytest.approx(fig3a.medium.L / C_MM_PER_PS)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +279,6 @@ def test_gain_exponent_short_pump_limit(fig5):
 def test_gain_estimate_rejects_bad_inputs(fig5):
     with pytest.raises(ValueError):
         gain_estimate(fig5, v=-1.0)
-    with pytest.raises(ValueError):
-        gain_estimate(fig5, p_weight=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from conftest import level_state
 from reference_step import noise_variance
 from sfase import solver
+from sfase.params import C_MM_PER_PS
 from sfase.solver import (
     DECAY_RESOLUTION,
     GridError,
@@ -29,7 +30,7 @@ from sfase.solver import (
 
 def test_make_grid_unit_cfl(fig5):
     grid = make_grid(fig5)
-    assert grid.dz == pytest.approx(grid.dt * fig5.constants.c, rel=1e-12)
+    assert grid.dz == pytest.approx(grid.dt * C_MM_PER_PS, rel=1e-12)
     assert grid.nz * grid.dz == pytest.approx(fig5.medium.L, rel=1e-12)
 
 
@@ -47,7 +48,7 @@ def test_make_grid_rejects_coarse_nz(fig5):
 
 def test_default_horizon_covers_burst(fig5):
     t_end = default_t_end(fig5)
-    expected = (fig5.pump.tau_i + fig5.medium.L / fig5.constants.c
+    expected = (fig5.pump.tau_i + fig5.medium.L / C_MM_PER_PS
                 + 6.0 * fig5.transition.tau2)
     assert t_end == pytest.approx(expected)
 
@@ -186,7 +187,7 @@ def test_forward_field_causal(fig5):
     # nothing can reach z=L before the pump front arrives there
     grid = make_grid(fig5)
     rec = run(fig5, grid, NoiseSpec(master_seed=3, realization_index=0))
-    transit = fig5.medium.L / fig5.constants.c
+    transit = fig5.medium.L / C_MM_PER_PS
     early = rec.t < transit
     assert np.all(np.abs(rec.omega_out[0, early]) == 0.0)
     assert np.all(rec.jp_out[early] == 0.0)
