@@ -36,10 +36,14 @@ BOOTSTRAP_CHUNK = 1 << 14
 # tasks a pool keeps in flight per worker: enough to compute ahead while the
 # consumer folds and writes, few enough that memory stays flat
 IN_FLIGHT_PER_WORKER = 4
-# (EnsembleSummary attribute, artifact suffix) of each direction, in the row
-# order of RunRecord.omega_out: forward emission at z = L, backward at z = 0.
-# Every per-direction column, key and file name is built from these.
+# (summary.json key, artifact suffix) of each direction, in the row order of
+# RunRecord.omega_out: forward emission at z = L, backward at z = 0.  Every
+# per-direction column, key and file name is built from these.
 DIRECTIONS = (("forward", "fwd"), ("backward", "bwd"))
+# the statistics of a direction's summary.json block that a sweep's map.csv
+# also carries (as prob_fwd, peak_fwd_mean and delay_fwd_mean, ...)
+PROBABILITY, PEAK_MEAN, DELAY_MEAN = (
+    "threshold_probability", "peak_intensity_mean", "delay_mean_ps")
 
 
 def direction_names(name: str) -> list[str]:
@@ -130,39 +134,21 @@ class EnsembleSpec:
 
 
 @dataclass
-class DirectionSummary:
-    """Per-direction ensemble statistics (forward: z=L, backward: z=0)."""
-
-    avg_temporal_intensity: np.ndarray    # <|Omega|^2>(t), rad^2/ps^2
-    avg_spectral_intensity: np.ndarray    # <S>(w) on spectral_axis
-    threshold_probability: float          # P(pulse area >= pi/2)
-    threshold_ci: tuple[float, float]     # bootstrap 95% interval
-    photon_hist_counts: np.ndarray
-    photon_hist_edges: np.ndarray
-    delay_hist_counts: np.ndarray
-    delay_hist_edges: np.ndarray
-    peak_intensity_mean: float
-    peak_intensity_std: float
-    peak_intensity_ci: tuple[float, float]
-    delay_mean: float | None
-    delay_std: float | None
-    n_delay_missing: int
-
-
-@dataclass
 class EnsembleSummary:
+    """Ensemble statistics; every per-direction field is in DIRECTIONS order
+    (forward: z = L, backward: z = 0)."""
+
     t: np.ndarray
     spectral_axis: np.ndarray
-    forward: DirectionSummary
-    backward: DirectionSummary
+    avg_intensity: np.ndarray    # (2, nt) <|Omega|^2>(t), rad^2/ps^2
+    avg_spectrum: np.ndarray     # (2, nw) <S>(w) on spectral_axis
+    photon_hist: list[tuple[np.ndarray, np.ndarray]]   # (counts, edges)
+    delay_hist: list[tuple[np.ndarray, np.ndarray]]    # (counts, edges), ps
+    stats: list[dict]            # each direction's summary.json block
     n_realizations: int
     n_failed: int
     master_seed: int
     max_trace_error: float
-
-    def directions(self) -> list[tuple[str, str, DirectionSummary]]:
-        """(attribute, suffix, summary) of each direction, forward first."""
-        return [(attr, tag, getattr(self, attr)) for attr, tag in DIRECTIONS]
 
 
 # the per-direction quantities of a realization, in realizations.csv order
@@ -223,12 +209,11 @@ def _bootstrap_ci(values: np.ndarray, seed: int) -> tuple[float, float]:
     return (float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5)))
 
 
-def _direction_summary(areas, photons, peaks, delays, t_end, tau_i,
-                       sum_intensity, sum_spectrum, n_ok, seed) -> DirectionSummary:
+def _direction_summary(areas, photons, peaks, delays, t_end, tau_i, seed):
+    """A direction's summary.json block, then its photon and delay
+    histograms, each (counts, edges)."""
     over = (areas >= HALF_PI).astype(float)
-    prob = float(np.mean(over))
     delays_valid = delays[~np.isnan(delays)]
-    ph_counts, ph_edges = histogram(photons, photon_bin_edges(photons))
     d_edges = np.linspace(0.0, max(t_end - tau_i, 1.0e-12), DELAY_BINS + 1)
     if delays_valid.size:
         d_counts, _ = histogram(delays_valid, d_edges)
@@ -237,19 +222,18 @@ def _direction_summary(areas, photons, peaks, delays, t_end, tau_i,
     else:
         d_counts = np.zeros(DELAY_BINS, dtype=int)
         delay_mean = delay_std = None
-    return DirectionSummary(
-        avg_temporal_intensity=sum_intensity / n_ok,
-        avg_spectral_intensity=sum_spectrum / n_ok,
-        threshold_probability=prob,
-        threshold_ci=_bootstrap_ci(over, seed),
-        photon_hist_counts=ph_counts, photon_hist_edges=ph_edges,
-        delay_hist_counts=d_counts, delay_hist_edges=d_edges,
-        peak_intensity_mean=float(np.mean(peaks)),
-        peak_intensity_std=float(np.std(peaks)),
-        peak_intensity_ci=_bootstrap_ci(peaks, seed + 1),
-        delay_mean=delay_mean, delay_std=delay_std,
-        n_delay_missing=len(delays) - delays_valid.size,
-    )
+    stats = {
+        PROBABILITY: float(np.mean(over)),     # P(pulse area >= pi/2)
+        "threshold_ci95": _bootstrap_ci(over, seed),
+        PEAK_MEAN: float(np.mean(peaks)),      # of max |Omega|^2
+        "peak_intensity_std": float(np.std(peaks)),
+        "peak_intensity_ci95": _bootstrap_ci(peaks, seed + 1),
+        DELAY_MEAN: delay_mean,                # None without emission
+        "delay_std_ps": delay_std,
+        "n_delay_missing": len(delays) - delays_valid.size,
+    }
+    return (stats, histogram(photons, photon_bin_edges(photons)),
+            (d_counts, d_edges))
 
 
 def realization_outcomes(specs: list[EnsembleSpec]) -> Iterator:
@@ -374,14 +358,14 @@ def _fold(spec: EnsembleSpec, outcomes: Iterator
     seed = spec.master_seed ^ 0x5F5F
     # (quantity, direction, realization)
     stacked = np.stack([s.values for s in scalars], axis=-1)
-    directions = {
-        attr: _direction_summary(*stacked[:, d], t_end, tau_i,
-                                 sum_intensity[d], sum_spectrum[d], n_ok,
-                                 seed + 2 * d)
-        for d, (attr, _) in enumerate(DIRECTIONS)}
+    stats, photon_hist, delay_hist = zip(*(
+        _direction_summary(*stacked[:, d], t_end, tau_i, seed + 2 * d)
+        for d in range(len(DIRECTIONS))))
     summary = EnsembleSummary(
-        t=spec.grid.times, spectral_axis=w_axis, **directions,
-        n_realizations=n_ok, n_failed=n_failed,
+        t=spec.grid.times, spectral_axis=w_axis,
+        avg_intensity=sum_intensity / n_ok, avg_spectrum=sum_spectrum / n_ok,
+        photon_hist=list(photon_hist), delay_hist=list(delay_hist),
+        stats=list(stats), n_realizations=n_ok, n_failed=n_failed,
         master_seed=spec.master_seed, max_trace_error=max_trace)
     return summary, scalars
 

@@ -9,11 +9,10 @@ import platform
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .ensemble import (QUANTITIES, EnsembleSummary, RealizationScalars,
-                       direction_names)
+from .ensemble import (DIRECTIONS, QUANTITIES, EnsembleSummary,
+                       RealizationScalars, direction_names)
 from .solver import NOISE_STREAM, RunRecord
 
 
@@ -70,48 +69,32 @@ def read_xy_csv(path: str | Path, x_col: str, y_col: str
     return np.array(xs), np.array(ys)
 
 
-def _direction_stats(d) -> dict:
-    return {
-        "threshold_probability": d.threshold_probability,
-        "threshold_ci95": list(d.threshold_ci),
-        "peak_intensity_mean": d.peak_intensity_mean,
-        "peak_intensity_std": d.peak_intensity_std,
-        "peak_intensity_ci95": list(d.peak_intensity_ci),
-        "delay_mean_ps": d.delay_mean,
-        "delay_std_ps": d.delay_std,
-        "n_delay_missing": d.n_delay_missing,
-    }
-
-
 def write_ensemble_outputs(summary: EnsembleSummary,
                            scalars: list[RealizationScalars],
                            out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    directions = summary.directions()
     write_json(out / "summary.json", {
         "n_realizations": summary.n_realizations,
         "n_failed": summary.n_failed,
         "master_seed": summary.master_seed,
         "max_trace_error": summary.max_trace_error,
-        **{attr: _direction_stats(d) for attr, _, d in directions},
+        **{key: stats for (key, _), stats in zip(DIRECTIONS, summary.stats)},
     })
     write_csv(out / "avg_intensity.csv",
               ["t_ps", *direction_names("avg_intensity")],
-              [summary.t, *(d.avg_temporal_intensity for _, _, d in directions)])
+              [summary.t, *summary.avg_intensity])
     write_csv(out / "avg_spectrum.csv",
               ["detuning_rad_per_ps", *direction_names("avg_spectrum")],
-              [summary.spectral_axis,
-               *(d.avg_spectral_intensity for _, _, d in directions)])
-    for _, tag, d in directions:
+              [summary.spectral_axis, *summary.avg_spectrum])
+    for (_, tag), (ph_counts, ph_edges), (d_counts, d_edges) in zip(
+            DIRECTIONS, summary.photon_hist, summary.delay_hist):
         write_csv(out / f"histogram_photons_{tag}.csv",
                   ["bin_left", "bin_right", "count"],
-                  [d.photon_hist_edges[:-1], d.photon_hist_edges[1:],
-                   d.photon_hist_counts])
+                  [ph_edges[:-1], ph_edges[1:], ph_counts])
         write_csv(out / f"histogram_delay_{tag}.csv",
                   ["bin_left_ps", "bin_right_ps", "count"],
-                  [d.delay_hist_edges[:-1], d.delay_hist_edges[1:],
-                   d.delay_hist_counts])
+                  [d_edges[:-1], d_edges[1:], d_counts])
     write_realizations(scalars, out / "realizations.csv")
 
 
@@ -119,6 +102,9 @@ def environment(step_kernel: dict | None) -> dict:
     """The software and machine that produce a run's numbers; a plan that
     steps also records its step kernel (`kernel.info()`: the kernel hash
     and the compiler that built it)."""
+    # imported here: the manifest is all that needs scipy, for its version
+    import scipy
+
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "platform": platform.platform(),
             "cpu_count": os.cpu_count(), "noise_stream": NOISE_STREAM,

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io, kernel, oracle
-from .ensemble import (EnsembleSpec, direction_names, realization_outcomes,
+from .ensemble import (DELAY_MEAN, DIRECTIONS, PEAK_MEAN, PROBABILITY,
+                       EnsembleSpec, direction_names, realization_outcomes,
                        run_ensemble)
 from .fitting import fit
 from .oracle import max_inversion
@@ -164,10 +165,10 @@ def _ensemble_point(spec: EnsembleSpec, out_dir: Path,
     summary, scalars = run_ensemble(spec, outcomes)
     io.write_ensemble_outputs(summary, scalars, out_dir)
     row = {"alpha": spec.scenario.derived.alpha}
-    for _, tag, d in summary.directions():
-        row[f"prob_{tag}"] = d.threshold_probability
-        row[f"peak_{tag}_mean"] = d.peak_intensity_mean
-        row[f"delay_{tag}_mean"] = d.delay_mean
+    for (_, tag), stats in zip(DIRECTIONS, summary.stats):
+        row[f"prob_{tag}"] = stats[PROBABILITY]
+        row[f"peak_{tag}_mean"] = stats[PEAK_MEAN]
+        row[f"delay_{tag}_mean"] = stats[DELAY_MEAN]
     return row
 
 
@@ -207,10 +208,15 @@ def _run_sweep(plan: ExperimentPlan, out: Path, points: list[dict],
 def run_plan(plan: ExperimentPlan) -> Path:
     """Execute a plan, writing all artifacts plus the manifest.
 
-    The scenario is parsed before anything is written, so a bad one leaves
-    no artifacts behind.
+    The scenario, and the grid of a single run or an ensemble, are built
+    before anything is written, so a bad one leaves no artifacts behind (a
+    sweep point whose grid cannot be built becomes an error row instead).
     """
     scen = None if plan.kind == "fit" else scenario_from_dict(plan.scenario)
+    if plan.kind == "single":
+        grid = make_grid(scen, nz=plan.grid_nz, t_end=plan.t_end_ps)
+    elif plan.kind == "ensemble":
+        spec = _ensemble_spec(scen, plan)
     step_kernel = kernel.info() if plan.kind in STEPPING_KINDS else None
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,7 +226,6 @@ def run_plan(plan: ExperimentPlan) -> Path:
         io.write_json(out / "oracle.json", oracle_report(scen))
 
     elif plan.kind == "single":
-        grid = make_grid(scen, nz=plan.grid_nz, t_end=plan.t_end_ps)
         noise = NoiseSpec(master_seed=plan.master_seed, realization_index=0)
         rec = run(scen, grid, noise, snapshot_stride=plan.snapshot_stride)
         io.write_run_record(rec, out / "run.csv")
@@ -232,7 +237,7 @@ def run_plan(plan: ExperimentPlan) -> Path:
                             for k in range(grid.n_nodes)])
 
     elif plan.kind == "ensemble":
-        _ensemble_point(_ensemble_spec(scen, plan), out)
+        _ensemble_point(spec, out)
 
     elif plan.kind == "sweep":
         points = [dict(zip(plan.axes, values))

@@ -57,6 +57,18 @@ def _reductions(specs: list[EnsembleSpec]):
             yield outcome
 
 
+def _ensembles(specs: list[EnsembleSpec]):
+    """Every spec's (summary, scalars), as `run_ensemble` folds them from one
+    stream of the production executor (a single pool runs the realizations
+    of all specs).  A failed realization fails the fixture.
+    """
+    with closing(realization_outcomes(specs)) as outcomes:
+        results = [run_ensemble(spec, outcomes) for spec in specs]
+    for summary, _ in results:
+        assert summary.n_failed == 0
+    return results
+
+
 def _all(checks: list[tuple[str, bool]]) -> tuple[bool, str]:
     ok = all(flag for _, flag in checks)
     detail = "; ".join(f"{name}={'ok' if flag else 'BAD'}"
@@ -191,16 +203,10 @@ def alpha_scan(fig5):
             n=alpha / (fig5.transition.sigma_r * fig5.medium.L)),
         grid=grid, n_realizations=N_SCAN, master_seed=7,
         workers=FIXTURE_WORKERS) for alpha in ALPHAS]
-    results = _reductions(specs)
-    peak_avg, mean_delay = [], []
-    for _ in specs:
-        sum_i = np.zeros(len(grid.times))
-        delays = []
-        for _, scalars, intensity, _, _ in islice(results, N_SCAN):
-            sum_i += intensity[0]
-            delays.append(scalars.delay[0])
-        peak_avg.append(float((sum_i / N_SCAN).max()))
-        mean_delay.append(float(np.nanmean(delays)))
+    summaries = [summary for summary, _ in _ensembles(specs)]
+    # forward: row 0 of the averages, block 0 of the statistics
+    peak_avg = [float(s.avg_intensity[0].max()) for s in summaries]
+    mean_delay = [s.stats[0]["delay_mean_ps"] for s in summaries]
     return np.array(peak_avg), np.array(mean_delay)
 
 
@@ -307,20 +313,16 @@ def length_points(fig5):
         specs[label] = EnsembleSpec(scenario=scen, grid=make_grid(scen),
                                     n_realizations=12, master_seed=5,
                                     workers=FIXTURE_WORKERS)
-    results = _reductions(list(specs.values()))
+    results = _ensembles(list(specs.values()))
     out = {}
-    for label, spec in specs.items():
+    for (label, spec), (summary, scalars) in zip(specs.items(), results):
         grid = spec.grid
-        w_axis, _ = spectrum(np.zeros(len(grid.times)), grid.dt)
-        sum_s = np.zeros(len(w_axis))
-        photons = []
-        for _, scalars, _, s, _ in islice(results, 12):
-            sum_s += s[0]
-            photons.append(scalars.photons[0])
         resolution = 2.0 * math.pi / (grid.dt * len(grid.times))
         out[label] = {
-            "median_photons": float(np.median(photons)),
-            "split": detect_spectral_splitting(w_axis, sum_s / 12, resolution),
+            "median_photons": float(np.median([s.photons[0]
+                                               for s in scalars])),
+            "split": detect_spectral_splitting(
+                summary.spectral_axis, summary.avg_spectrum[0], resolution),
         }
     return out
 
@@ -398,8 +400,7 @@ def test_criterion_8_numerical_properties(toy, monkeypatch):
     s2, _ = run_ensemble(EnsembleSpec(scenario=toy, grid=grid,
                                       n_realizations=4, master_seed=99,
                                       workers=2))
-    workers_ok = np.array_equal(s1.forward.avg_temporal_intensity,
-                                s2.forward.avg_temporal_intensity)
+    workers_ok = np.array_equal(s1.avg_intensity, s2.avg_intensity)
 
     checks = [
         ("trace<=1e-6", trace_ok),

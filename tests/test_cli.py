@@ -186,7 +186,9 @@ def test_largest_seed_runs(tmp_path, toy_file):
                  f"--seed={2**128 - 1}"]) == EXIT_OK
 
 
-# (command, flags, scenario keys replaced, field the error message names)
+# toy grid too coarse for the scenario: dt = 0.1 ps against a 0.01 ps limit
+COARSE_NZ = 1
+# (command, flags, scenario keys replaced, what the error message names)
 BAD_SIZES = [
     *[(command, flags, overrides, field)
       for command in ("run", "ensemble", "sweep")
@@ -198,6 +200,8 @@ BAD_SIZES = [
           (["--t-end", "0"], {}, "t_end_ps"),
           ([], {"r_um": 0.0}, "medium.r")]],
     ("run", ["--snapshots", "-1"], {}, "snapshot_stride"),
+    ("run", ["--grid-nz", str(COARSE_NZ)], {}, "resolution limit"),
+    ("ensemble", ["--grid-nz", str(COARSE_NZ)], {}, "resolution limit"),
     ("sweep", ["--fixed-alpha", "0"], {}, "fixed_alpha"),
     ("validate", ["--grid-nz", "0"], {}, "nz"),
     ("validate", ["--grid-nz", "-3"], {}, "nz"),
@@ -246,6 +250,20 @@ def test_bad_manifest_count_or_size_is_config_error(tmp_path, toy_dict, capsys,
     command = {"single": "run", "ensemble": "ensemble", "sweep": "sweep"}[kind]
     assert main([command, "--from-manifest", str(manifest)]) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["single", "ensemble"])
+def test_manifest_grid_above_resolution_limit_writes_nothing(
+        tmp_path, toy_dict, capsys, kind):
+    out = tmp_path / "out"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"plan": {
+        "kind": kind, "scenario": toy_dict, "out_dir": str(out),
+        "n_realizations": 1, "grid_nz": COARSE_NZ}}))
+    command = {"single": "run", "ensemble": "ensemble"}[kind]
+    assert main([command, "--from-manifest", str(manifest)]) == EXIT_CONFIG
+    assert "resolution limit" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -613,6 +631,7 @@ loaded = lambda: [m for m in heavy if m in sys.modules]
 seen = {{}}
 import sfase.cli
 seen["import"] = loaded()
+seen["scipy_at_import"] = "scipy" in sys.modules
 seen["ensemble"] = sfase.cli.main(["ensemble", "--scenario", {toy!r},
                                    "--out", {ens!r}, "--ne", "2"])
 seen["after_ensemble"] = loaded()
@@ -642,6 +661,8 @@ def test_simulation_path_loads_no_heavy_scipy(tmp_path, toy_file):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import"] == []
+    # not even bare scipy: the manifest imports it for its version
+    assert seen["scipy_at_import"] is False
     assert seen["ensemble"] == EXIT_OK
     assert seen["after_ensemble"] == []
     # the commands that need scipy still load it when they run

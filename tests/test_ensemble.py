@@ -133,10 +133,10 @@ def test_ensemble_scalar_consistency(toy, toy_ensemble):
     assert summary.n_failed == 0
     assert [s.index for s in scalars] == list(range(8))
     areas = np.array([s.area[0] for s in scalars])
-    assert summary.forward.threshold_probability == pytest.approx(
+    assert summary.stats[0]["threshold_probability"] == pytest.approx(
         float(np.mean(areas >= math.pi / 2)))
     peaks = np.array([s.peak[0] for s in scalars])
-    assert summary.forward.peak_intensity_mean == pytest.approx(
+    assert summary.stats[0]["peak_intensity_mean"] == pytest.approx(
         float(np.mean(peaks)), rel=1e-12)
 
 
@@ -147,8 +147,7 @@ def test_ensemble_average_matches_reruns(toy, toy_ensemble):
     for k in range(8):
         rec = run(toy, grid, NoiseSpec(master_seed=21, realization_index=k))
         acc += np.abs(rec.omega_out[0]) ** 2
-    np.testing.assert_allclose(summary.forward.avg_temporal_intensity,
-                               acc / 8, rtol=1e-12)
+    np.testing.assert_allclose(summary.avg_intensity[0], acc / 8, rtol=1e-12)
 
 
 def test_ensemble_schedule_independence(toy, toy_ensemble):
@@ -156,24 +155,28 @@ def test_ensemble_schedule_independence(toy, toy_ensemble):
     spec2 = EnsembleSpec(scenario=toy, grid=spec.grid, n_realizations=8,
                          master_seed=21, workers=2)
     summary2, scalars2 = run_ensemble(spec2)
-    np.testing.assert_array_equal(summary1.forward.avg_temporal_intensity,
-                                  summary2.forward.avg_temporal_intensity)
-    np.testing.assert_array_equal(summary1.backward.avg_spectral_intensity,
-                                  summary2.backward.avg_spectral_intensity)
+    # every statistic of both directions, bit for bit
+    np.testing.assert_array_equal(summary1.avg_intensity,
+                                  summary2.avg_intensity)
+    np.testing.assert_array_equal(summary1.avg_spectrum,
+                                  summary2.avg_spectrum)
+    assert summary1.stats == summary2.stats
+    for hist1, hist2 in zip(summary1.photon_hist + summary1.delay_hist,
+                            summary2.photon_hist + summary2.delay_hist):
+        for array1, array2 in zip(hist1, hist2):
+            np.testing.assert_array_equal(array1, array2)
     assert [s.area[0] for s in scalars1] == [s.area[0] for s in scalars2]
-    assert (summary1.forward.threshold_ci
-            == summary2.forward.threshold_ci)
 
 
 def test_ensemble_bootstrap_ci_brackets_mean(toy_ensemble):
     _, (summary, _) = toy_ensemble
-    lo, hi = summary.forward.peak_intensity_ci
-    assert lo <= summary.forward.peak_intensity_mean <= hi
+    lo, hi = summary.stats[0]["peak_intensity_ci95"]
+    assert lo <= summary.stats[0]["peak_intensity_mean"] <= hi
 
 
 def test_ensemble_delay_histogram_domain(toy_ensemble):
     spec, (summary, _) = toy_ensemble
-    edges = summary.forward.delay_hist_edges
+    _, edges = summary.delay_hist[0]
     assert edges[0] == pytest.approx(0.0)
     assert edges[-1] <= spec.grid.t_end
 
