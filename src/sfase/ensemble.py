@@ -177,22 +177,31 @@ class RealizationScalars:
 def _reduce_one(spec: EnsembleSpec, index: int):
     """Run one realization and reduce both directions at once.
 
-    Returns (index, scalars, |Omega|^2 (2, nt), spectrum (2, nw), max trace
-    error), rows in DIRECTIONS order.
+    Returns (scalars, |Omega|^2 (2, nt), spectrum (2, nw), max trace
+    error), rows in DIRECTIONS order; or, for any exception raised on the
+    way, a `SolverError` that charges it to this realization alone.  The
+    failure is labelled here, where the realization runs, so only a
+    SolverError crosses a pool's process boundary.
     """
-    noise = NoiseSpec(master_seed=spec.master_seed, realization_index=index)
-    rec = run(spec.scenario, spec.grid, noise)
-    dt = spec.grid.dt
-    tr = spec.scenario.transition
-    intensity = np.abs(rec.omega_out) ** 2
-    _, spec_out = spectrum(rec.omega_out, dt)
-    scalars = RealizationScalars(index, np.array([
-        pulse_area(rec.omega_out, dt),
-        oracle.photons_from_envelope(rec.omega_out, dt, spec.scenario.medium.r,
-                                     tr.d, tr.omega),
-        np.max(intensity, axis=-1),
-        delay_time(rec)]))
-    return index, scalars, intensity, spec_out, rec.max_trace_error
+    try:
+        noise = NoiseSpec(master_seed=spec.master_seed, realization_index=index)
+        rec = run(spec.scenario, spec.grid, noise)
+        dt = spec.grid.dt
+        tr = spec.scenario.transition
+        intensity = np.abs(rec.omega_out) ** 2
+        _, spec_out = spectrum(rec.omega_out, dt)
+        scalars = RealizationScalars(index, np.array([
+            pulse_area(rec.omega_out, dt),
+            oracle.photons_from_envelope(rec.omega_out, dt,
+                                         spec.scenario.medium.r, tr.d,
+                                         tr.omega),
+            np.max(intensity, axis=-1),
+            delay_time(rec)]))
+    except Exception as err:
+        cause = (str(err) if isinstance(err, SolverError)
+                 else f"{type(err).__name__}: {err}")
+        return SolverError(f"realization {index}: {cause}")
+    return scalars, intensity, spec_out, rec.max_trace_error
 
 
 def _bootstrap_ci(values: np.ndarray, seed: int) -> tuple[float, float]:
@@ -239,8 +248,8 @@ def _direction_summary(areas, photons, peaks, delays, t_end, tau_i, seed):
 def realization_outcomes(specs: list[EnsembleSpec]) -> Iterator:
     """Outcomes of every (point, realization index) task, in that order.
 
-    An outcome is what `_reduce_one` returns, or a `SolverError` charged to
-    the realization's index for any exception it raised.  With more than
+    An outcome is what `_reduce_one` returns: a realization's reductions,
+    or the `SolverError` that charges its failure to it.  With more than
     one worker the tasks run on a single process pool that keeps
     IN_FLIGHT_PER_WORKER * workers of them in flight, so workers compute
     ahead while the consumer folds and writes what it has; otherwise each
@@ -259,11 +268,7 @@ def realization_outcomes(specs: list[EnsembleSpec]) -> Iterator:
     workers = max((spec.workers for spec in specs), default=1)
     if workers == 1 or sum(spec.n_realizations for spec in specs) == 1:
         for spec, index in tasks:
-            try:
-                outcome = _reduce_one(spec, index)
-            except Exception as err:
-                outcome = _charge(index, err)
-            yield outcome
+            yield _reduce_one(spec, index)
         return
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
@@ -281,19 +286,9 @@ def realization_outcomes(specs: list[EnsembleSpec]) -> Iterator:
                     yield SolverError(f"realization {lost}: lost, a pool "
                                       f"worker died ({err})")
                 return
-            except Exception as err:
-                outcome = _charge(index, err)
             yield outcome
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _charge(index: int, err: Exception) -> SolverError:
-    """An exception raised while computing a realization, as the failure of
-    that realization alone (a SolverError already names its index)."""
-    if isinstance(err, SolverError):
-        return err
-    return SolverError(f"realization {index}: {type(err).__name__}: {err}")
 
 
 def _submit(pool: ProcessPoolExecutor, spec: EnsembleSpec, index: int
@@ -338,7 +333,7 @@ def _fold(spec: EnsembleSpec, outcomes: Iterator
         if isinstance(outcome, SolverError):
             failures[index] = str(outcome)
             continue
-        _, sc, intensity, spec_out, trace_err = outcome
+        sc, intensity, spec_out, trace_err = outcome
         scalars.append(sc)
         sum_intensity += intensity
         sum_spectrum += spec_out

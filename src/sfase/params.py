@@ -213,16 +213,23 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if unknown:
         raise ParameterError(f"unknown scenario keys: {', '.join(unknown)}")
 
+    def number(key):
+        value = float(raw[key])
+        if not math.isfinite(value):
+            raise ParameterError(f"scenario key {key!r} must be finite, "
+                                 f"got {value}")
+        return value
+
     def need(key):
         if key not in raw:
             raise ParameterError(f"missing scenario key {key!r}")
-        return float(raw[key])
+        return number(key)
 
     if "gamma_thz" in raw:
-        gamma = float(raw["gamma_thz"])
+        gamma = number("gamma_thz")
         if gamma <= 0:
             raise ParameterError("gamma_thz must be strictly positive")
-        if "tau2_ps" in raw and abs(gamma * float(raw["tau2_ps"]) - 1.0) > 1.0e-9:
+        if "tau2_ps" in raw and abs(gamma * number("tau2_ps") - 1.0) > 1.0e-9:
             raise ParameterError("gamma_thz and tau2_ps disagree: gamma*tau2 must be 1")
     else:
         tau2 = need("tau2_ps")

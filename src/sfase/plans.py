@@ -40,10 +40,11 @@ FIT_Y_COL = f"{direction_names('peak')[0]}_mean"
 
 def _check_grid(name: str, grid) -> None:
     if (not isinstance(grid, (list, tuple)) or len(grid) == 0
-            or not all(isinstance(v, (int, float)) for v in grid)
+            or not all(isinstance(v, (int, float)) and abs(v) < np.inf
+                       for v in grid)
             or np.any(np.diff(grid) <= 0)):
-        raise ParameterError(
-            f"plan.{name} must be a non-empty, strictly increasing list of numbers")
+        raise ParameterError(f"plan.{name} must be a non-empty, strictly "
+                             f"increasing list of finite numbers")
 
 
 @dataclass
@@ -94,9 +95,9 @@ class ExperimentPlan:
             value = getattr(self, name)
             if value is not None and (not isinstance(value, (int, float))
                                       or isinstance(value, bool)
-                                      or not value > 0):
+                                      or not 0 < value < np.inf):
                 raise ParameterError(
-                    f"plan.{name} must be a number > 0, got {value!r}")
+                    f"plan.{name} must be a finite number > 0, got {value!r}")
         missing = [f for f in REQUIRED.get(self.kind, ()) if not getattr(self, f)]
         if missing:
             raise ParameterError(f"{self.kind} plan needs {' and '.join(missing)}")
@@ -208,15 +209,19 @@ def _run_sweep(plan: ExperimentPlan, out: Path, points: list[dict],
 def run_plan(plan: ExperimentPlan) -> Path:
     """Execute a plan, writing all artifacts plus the manifest.
 
-    The scenario, and the grid of a single run or an ensemble, are built
-    before anything is written, so a bad one leaves no artifacts behind (a
-    sweep point whose grid cannot be built becomes an error row instead).
+    The scenario, the grid of a single run or an ensemble, and a fit's
+    data and result are made before anything is written, so a bad one
+    leaves no artifacts behind (a sweep point whose grid cannot be built
+    becomes an error row instead).
     """
     scen = None if plan.kind == "fit" else scenario_from_dict(plan.scenario)
     if plan.kind == "single":
         grid = make_grid(scen, nz=plan.grid_nz, t_end=plan.t_end_ps)
     elif plan.kind == "ensemble":
         spec = _ensemble_spec(scen, plan)
+    elif plan.kind == "fit":
+        x, y = io.read_xy_csv(plan.fit_data, plan.fit_x_col, plan.fit_y_col)
+        result = fit(plan.fit_family, x, y)
     step_kernel = kernel.info() if plan.kind in STEPPING_KINDS else None
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -272,8 +277,6 @@ def run_plan(plan: ExperimentPlan) -> Path:
                               f"(see error markers in pump_study.csv)")
 
     elif plan.kind == "fit":
-        x, y = io.read_xy_csv(plan.fit_data, plan.fit_x_col, plan.fit_y_col)
-        result = fit(plan.fit_family, x, y)
         io.write_json(out / "fit.json", {
             "family": result.family,
             "coefficients": list(result.coefficients),

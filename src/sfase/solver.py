@@ -32,6 +32,11 @@ differ only where libm's exp rounds differently from numpy's vectorised
 exp: by 1 ulp on a few percent of its arguments.  Stage 5's normals are
 drawn inside the kernel, bitwise equal to `noise_normals`, which defines
 the v1 stream in numpy and is the tests' reference for the kernel's draw.
+
+`run` checks the state every CHECK_STRIDE steps and raises `SolverError`
+naming the array, cell and step of the first non-finite value; it does
+not know which realization it runs.  The ensemble charges the failure to
+its realization (`ensemble._reduce_one`).
 """
 from __future__ import annotations
 
@@ -137,26 +142,11 @@ def noise_normals(noise: NoiseSpec, istep: int, n_nodes: int) -> np.ndarray:
     Rows are (Re+, Im+, Re-, Im-).  The draw is a pure function of
     (master_seed, realization_index, istep): the Philox counter encodes the
     realization and step, so identical coordinates give identical samples
-    across processes and restarts, independent of scheduling.  The last
-    seed's generator is kept and its whole state reset on each call, which
-    draws the same samples as a freshly built one at a fraction of the cost.
+    across processes and restarts, independent of scheduling.
     """
-    global _philox
-    seed, gen, state = _philox
-    if seed != noise.master_seed:
-        gen = np.random.Generator(np.random.Philox(key=noise.master_seed))
-        state = gen.bit_generator.state
-        _philox = (noise.master_seed, gen, state)
-    state["state"]["counter"] = np.array(
-        [0, 0, noise.realization_index, istep], dtype=np.uint64)
-    state["buffer_pos"] = 4      # empty output buffer, as after construction
-    state["has_uint32"] = state["uinteger"] = 0
-    gen.bit_generator.state = state
-    return gen.standard_normal((4, n_nodes))
-
-
-# (master seed, generator, state template) reused by noise_normals
-_philox: tuple = (None, None, None)
+    bits = np.random.Philox(key=noise.master_seed,
+                            counter=[0, 0, noise.realization_index, istep])
+    return np.random.Generator(bits).standard_normal((4, n_nodes))
 
 
 def pump_boundary(t, pump: PumpParams, medium: MediumParams):
@@ -292,15 +282,11 @@ def run(scen: Scenario, grid: GridSpec, noise: NoiseSpec | None = None, *,
     max_phys = 0.0
 
     for i in range(nsteps):
-        try:
-            state = step(state, scen, grid, noise)
-            if (i + 1) % CHECK_STRIDE == 0 or i == nsteps - 1:
-                state.check_finite()
-                max_trace = max(max_trace, state.trace_error())
-                max_phys = max(max_phys, state.physicality_violation())
-        except SolverError as err:
-            idx = noise.realization_index if noise is not None else None
-            raise SolverError(f"realization {idx}: {err}") from err
+        state = step(state, scen, grid, noise)
+        if (i + 1) % CHECK_STRIDE == 0 or i == nsteps - 1:
+            state.check_finite()
+            max_trace = max(max_trace, state.trace_error())
+            max_phys = max(max_phys, state.physicality_violation())
         omega_out[0, i + 1] = state.omega[0, -1]
         omega_out[1, i + 1] = state.omega[1, 0]
         jp_out[i + 1] = state.jp[-1]

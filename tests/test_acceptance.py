@@ -258,7 +258,7 @@ def asymmetry(fig5):
         n_real = spec.n_realizations
         fwd_areas, bwd_areas, lobe_ratios = [], [], []
         sum_bwd = np.zeros(len(spec.grid.times))
-        for _, scalars, intensity, _, _ in islice(results, n_real):
+        for scalars, intensity, _, _ in islice(results, n_real):
             fwd_areas.append(scalars.area[0])
             bwd_areas.append(scalars.area[1])
             i_bwd = intensity[1]

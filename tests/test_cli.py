@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and artifact files."""
 import csv
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -198,14 +199,19 @@ BAD_SIZES = [
           (["--grid-nz", "0"], {}, "grid_nz"),
           (["--grid-nz", "-3"], {}, "grid_nz"),
           (["--t-end", "0"], {}, "t_end_ps"),
-          ([], {"r_um": 0.0}, "medium.r")]],
+          (["--t-end", "inf"], {}, "t_end_ps"),
+          ([], {"r_um": 0.0}, "medium.r"),
+          ([], {"L_mm": math.inf}, "L_mm")]],
     ("run", ["--snapshots", "-1"], {}, "snapshot_stride"),
     ("run", ["--grid-nz", str(COARSE_NZ)], {}, "resolution limit"),
     ("ensemble", ["--grid-nz", str(COARSE_NZ)], {}, "resolution limit"),
     ("sweep", ["--fixed-alpha", "0"], {}, "fixed_alpha"),
+    ("sweep", ["--fixed-alpha", "inf"], {}, "fixed_alpha"),
+    ("sweep", ["--l-grid", "inf"], {}, "axes"),
     ("validate", ["--grid-nz", "0"], {}, "nz"),
     ("validate", ["--grid-nz", "-3"], {}, "nz"),
     ("validate", [], {"r_um": 0.0}, "medium.r"),
+    ("validate", [], {"L_mm": math.inf}, "L_mm"),
 ]
 
 
@@ -235,14 +241,23 @@ def test_bad_count_or_size_is_config_error(tmp_path, toy_dict, capsys, command,
     ("ensemble", "workers", 0),
     ("ensemble", "grid_nz", 0),
     ("ensemble", "t_end_ps", -1.0),
+    ("ensemble", "t_end_ps", math.inf),
     ("single", "snapshot_stride", -1),
     ("sweep", "fixed_alpha", 0.0),
+    ("sweep", "fixed_alpha", math.inf),
+    pytest.param("sweep", "axes", {"L": [0.02, math.inf]}, id="sweep-axes-inf"),
+    ("ensemble", "L_mm", math.inf),
 ])
 def test_bad_manifest_count_or_size_is_config_error(tmp_path, toy_dict, capsys,
                                                     kind, field, value):
+    # a field of the scenario's flat schema replaces that key of the scenario
     out = tmp_path / "out"
     plan = {"kind": kind, "scenario": toy_dict, "out_dir": str(out),
-            "n_realizations": 1, "axes": {"L": [0.02, 0.03]}, field: value}
+            "n_realizations": 1, "axes": {"L": [0.02, 0.03]}}
+    if field in toy_dict:
+        plan["scenario"] = {**toy_dict, field: value}
+    else:
+        plan[field] = value
     if kind != "sweep":
         del plan["axes"]
     manifest = tmp_path / "manifest.json"
@@ -383,7 +398,8 @@ def test_sweep_failed_point_keeps_stream_aligned(tmp_path, toy_file,
     # the pool's forked workers see the patched run too
     monkeypatch.setattr(ensemble, "run", run_failing_middle)
     assert main(args + ["--out", str(failed)]) == EXIT_RUNTIME
-    assert _map_errors(failed) == ["", "1/3 realizations failed: injected", ""]
+    assert _map_errors(failed) == [
+        "", "1/3 realizations failed: realization 0: injected", ""]
     assert not (failed / "point_001").exists()
     for point in ("point_000", "point_002"):
         assert ((failed / point / "realizations.csv").read_bytes()
@@ -587,11 +603,19 @@ def test_fit_names_columns_when_no_row_has_both(tmp_path, capsys):
     assert f"{data}: no row has both 'alpha' and 'peak_fwd_mean'" in err
 
 
-def test_fit_unknown_family(tmp_path):
+def test_fit_unknown_family(tmp_path, monkeypatch, capsys):
+    # an unknown family, a missing data file or column is a config error,
+    # found before anything is written: no manifest, no output directory
+    monkeypatch.chdir(tmp_path)
     data = tmp_path / "d.csv"
     io.write_csv(data, ["alpha", "peak_fwd_mean"], [[1, 2, 3], [1, 2, 3]])
-    assert main(["fit", "--family", "cubic", "--data", str(data),
-                 "--out", str(tmp_path / "f")]) == EXIT_CONFIG
+    for flags, named in [(["--family", "cubic"], "cubic"),
+                         (["--data", "missing.csv"], "missing.csv"),
+                         (["--y-col", "nope"], "nope")]:
+        assert main(["fit", "--family", "pump_decay", "--data", str(data),
+                     "--out", str(tmp_path / "f"), *flags]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Tests of per-realization reductions and seeded-ensemble aggregation."""
+import functools
 import math
 import tracemalloc
 
@@ -189,11 +190,19 @@ def test_ensemble_spec_validation(toy):
         EnsembleSpec(scenario=toy, grid=grid, workers=0)
 
 
+class _TwoArgumentError(Exception):
+    """An exception that cannot be rebuilt from its args, so it does not
+    survive pickling."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} {where}")
+
+
 def _run_failing_at(bad: set[int], error=SolverError):
     """Stand-in for solver.run: a cheap fixed record, `error` at bad."""
     def fake_run(scen, grid, noise):
         if noise.realization_index in bad:
-            raise error(f"realization {noise.realization_index}: injected")
+            raise error("injected")
         n = grid.nsteps + 1
         return _fake_record(grid.times, omega_plus=np.full(n, 0.1),
                             jp=np.ones(n))
@@ -215,12 +224,15 @@ def test_ensemble_failure_budget(toy, monkeypatch, workers):
     with pytest.raises(SolverError, match=r"^2/100 realizations failed: "
                        r"realization 17: injected; realization 63: injected$"):
         run_ensemble(spec)
-    # any other exception is charged to its realization alone
-    monkeypatch.setattr(ensemble, "run",
-                        _run_failing_at({42}, error=FloatingPointError))
-    summary, scalars = run_ensemble(spec)
-    assert summary.n_failed == 1
-    assert [s.index for s in scalars] == [i for i in range(100) if i != 42]
+    # any other exception is charged to its realization alone, also one
+    # that a pool could not carry back to this process
+    for error in (FloatingPointError,
+                  functools.partial(_TwoArgumentError, where="in the pump")):
+        monkeypatch.setattr(ensemble, "run",
+                            _run_failing_at({42}, error=error))
+        summary, scalars = run_ensemble(spec)
+        assert summary.n_failed == 1
+        assert [s.index for s in scalars] == [i for i in range(100) if i != 42]
 
 
 def test_ensemble_memory_flat_in_realizations(toy, monkeypatch):
@@ -262,10 +274,10 @@ def test_reduce_one_rows_equal_one_dimensional_reductions(toy):
     grid = make_grid(toy)
     spec = EnsembleSpec(scenario=toy, grid=grid, n_realizations=1,
                         master_seed=21)
-    index, scalars, intensity, spec_out, _ = ensemble._reduce_one(spec, 3)
+    scalars, intensity, spec_out, _ = ensemble._reduce_one(spec, 3)
     rec = run(toy, grid, NoiseSpec(master_seed=21, realization_index=3))
     tr = toy.transition
-    assert index == scalars.index == 3
+    assert scalars.index == 3
     for row, series in enumerate(rec.omega_out):
         assert np.any(series != 0.0)
         assert scalars.area[row] == pulse_area(series, grid.dt)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import level_state
 from reference_step import noise_variance
-from sfase import solver
+from sfase import ensemble, solver
 from sfase.params import C_MM_PER_PS
 from sfase.solver import (
     DECAY_RESOLUTION,
@@ -74,8 +74,8 @@ def test_noise_normals_deterministic():
 
 
 def test_noise_normals_match_fresh_philox_stream():
-    # the reused generator must draw exactly what a generator built at the
-    # step's counter draws, whatever was drawn before
+    # the v1 stream is numpy's Philox stream keyed by the seed, started at
+    # counter (0, 0, index, step), whatever was drawn before
     coords = [(42, 7, 13), (42, 7, 14), (5, 0, 13), (42, 8, 0), (42, 7, 13)]
     for seed, index, istep in coords:
         got = noise_normals(NoiseSpec(master_seed=seed, realization_index=index),
@@ -276,9 +276,15 @@ def test_check_finite_names_array_row_and_cell(toy):
 
 
 def test_non_finite_pump_fails_run_with_realization_index(toy, monkeypatch):
+    # run names the array, cell and step; the ensemble adds the realization
     monkeypatch.setattr(solver, "pump_boundary", lambda *args: np.nan)
     monkeypatch.setattr(solver, "CHECK_STRIDE", 1)
+    grid = make_grid(toy)
     with pytest.raises(SolverError,
-                       match=r"^realization 3: non-finite value in pop\[0, 0\] "
-                             r"at step 1 "):
-        run(toy, make_grid(toy), NoiseSpec(master_seed=1, realization_index=3))
+                       match=r"^non-finite value in pop\[0, 0\] at step 1 "):
+        run(toy, grid, NoiseSpec(master_seed=1, realization_index=3))
+    outcome = ensemble._reduce_one(
+        ensemble.EnsembleSpec(scenario=toy, grid=grid, master_seed=1), 3)
+    assert isinstance(outcome, SolverError)
+    assert str(outcome).startswith(
+        "realization 3: non-finite value in pop[0, 0] at step 1 ")
