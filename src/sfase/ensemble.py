@@ -2,10 +2,10 @@
 
 Realizations are independent work units; each one draws from its own
 counter-based noise stream, so results are identical for any worker count
-or scheduling.  One stream per command runs every point's realizations
-(on one process pool when there are workers) and yields their reductions
-in (point, index) order; aggregation folds them into running sums in that
-order, which makes the ensemble output bit-for-bit equal to a serial run.
+or scheduling.  One stream per command runs every point's realizations on
+the command's workers (one pool for more than one) and yields their
+reductions in (point, index) order; `run_ensemble` folds them into running
+sums in that order, so the ensemble output is bit-for-bit a serial run's.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,13 +123,10 @@ class EnsembleSpec:
     grid: GridSpec
     n_realizations: int = 1000
     master_seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -245,15 +241,16 @@ def _direction_summary(areas, photons, peaks, delays, t_end, tau_i, seed):
             (d_counts, d_edges))
 
 
-def realization_outcomes(specs: list[EnsembleSpec]) -> Iterator:
+def realization_outcomes(specs: list[EnsembleSpec], workers: int) -> Iterator:
     """Outcomes of every (point, realization index) task, in that order.
 
     An outcome is what `_reduce_one` returns: a realization's reductions,
     or the `SolverError` that charges its failure to it.  With more than
-    one worker the tasks run on a single process pool that keeps
-    IN_FLIGHT_PER_WORKER * workers of them in flight, so workers compute
-    ahead while the consumer folds and writes what it has; otherwise each
-    `_reduce_one` runs lazily when its outcome is pulled.
+    one of the command's `workers`, the tasks run on a single process pool
+    that keeps IN_FLIGHT_PER_WORKER * workers of them in flight, so
+    workers compute ahead while the consumer folds and writes what it has;
+    otherwise (or for a single task) each `_reduce_one` runs lazily when
+    its outcome is pulled.
     A worker that dies breaks the pool: the first task found broken and
     every task after it become `SolverError`s that name their index and
     the cause, and nothing more is submitted.  Closing the stream, or an
@@ -265,8 +262,7 @@ def realization_outcomes(specs: list[EnsembleSpec]) -> Iterator:
     kernel.load()
     tasks = ((spec, index) for spec in specs
              for index in range(spec.n_realizations))
-    workers = max((spec.workers for spec in specs), default=1)
-    if workers == 1 or sum(spec.n_realizations for spec in specs) == 1:
+    if workers == 1 or sum(spec.n_realizations for spec in specs) <= 1:
         for spec, index in tasks:
             yield _reduce_one(spec, index)
         return
@@ -303,25 +299,17 @@ def _submit(pool: ProcessPoolExecutor, spec: EnsembleSpec, index: int
         return index, future
 
 
-def run_ensemble(spec: EnsembleSpec, outcomes: Iterator | None = None
+def run_ensemble(spec: EnsembleSpec, outcomes: Iterator
                  ) -> tuple[EnsembleSummary, list[RealizationScalars]]:
-    """Run all realizations and aggregate Eq.-style averages and statistics.
+    """Aggregate Eq.-style averages and statistics of one ensemble.
 
-    Takes exactly spec.n_realizations outcomes from `outcomes` (by default
-    a stream of this spec alone, see `realization_outcomes`) and folds them
-    in index order into running sums, so the result is bitwise that of a
-    serial run and memory does not grow with the realization count.
+    Takes the next spec.n_realizations outcomes from `outcomes`, a stream
+    of `realization_outcomes`, and folds them in index order into running
+    sums, so the result is bitwise that of a serial run and memory does
+    not grow with the realization count.
     Failed realizations are excluded; the whole ensemble fails if more than
     1% of them fail.
     """
-    if outcomes is None:
-        with closing(realization_outcomes([spec])) as own:
-            return _fold(spec, own)
-    return _fold(spec, outcomes)
-
-
-def _fold(spec: EnsembleSpec, outcomes: Iterator
-          ) -> tuple[EnsembleSummary, list[RealizationScalars]]:
     nt = spec.grid.nsteps + 1
     sum_intensity = np.zeros((len(DIRECTIONS), nt))
     sum_spectrum = np.zeros((len(DIRECTIONS), SPECTRUM_PAD * nt))

@@ -214,10 +214,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ParameterError(f"unknown scenario keys: {', '.join(unknown)}")
 
     def number(key):
-        value = float(raw[key])
+        try:
+            value = float(raw[key])
+        except OverflowError:   # an integer too large for a float
+            value = math.inf
         if not math.isfinite(value):
-            raise ParameterError(f"scenario key {key!r} must be finite, "
-                                 f"got {value}")
+            raise ParameterError(f"scenario key {key!r} must be finite as a "
+                                 f"float, got {raw[key]!r}")
         return value
 
     def need(key):

@@ -8,6 +8,7 @@ reproduces the outputs bitwise.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass, asdict
@@ -40,7 +41,8 @@ FIT_Y_COL = f"{direction_names('peak')[0]}_mean"
 
 def _check_grid(name: str, grid) -> None:
     if (not isinstance(grid, (list, tuple)) or len(grid) == 0
-            or not all(isinstance(v, (int, float)) and abs(v) < np.inf
+            or not all(isinstance(v, (int, float))
+                       and abs(v) <= sys.float_info.max
                        for v in grid)
             or np.any(np.diff(grid) <= 0)):
         raise ParameterError(f"plan.{name} must be a non-empty, strictly "
@@ -88,14 +90,15 @@ class ExperimentPlan:
             if name == "grid_nz" and value is None:
                 continue
             if (not isinstance(value, int) or isinstance(value, bool)
-                    or value < least):
+                    or not least <= value <= sys.float_info.max):
                 raise ParameterError(
-                    f"plan.{name} must be an integer >= {least}, got {value!r}")
+                    f"plan.{name} must be an integer from {least} to "
+                    f"{sys.float_info.max:.4g}, got {value!r}")
         for name in ("t_end_ps", "fixed_alpha"):
             value = getattr(self, name)
             if value is not None and (not isinstance(value, (int, float))
                                       or isinstance(value, bool)
-                                      or not 0 < value < np.inf):
+                                      or not 0 < value <= sys.float_info.max):
                 raise ParameterError(
                     f"plan.{name} must be a finite number > 0, got {value!r}")
         missing = [f for f in REQUIRED.get(self.kind, ()) if not getattr(self, f)]
@@ -156,13 +159,13 @@ def _ensemble_spec(scen: Scenario, plan: ExperimentPlan) -> EnsembleSpec:
     grid = make_grid(scen, nz=plan.grid_nz, t_end=plan.t_end_ps)
     return EnsembleSpec(scenario=scen, grid=grid,
                         n_realizations=plan.n_realizations,
-                        master_seed=plan.master_seed, workers=plan.workers)
+                        master_seed=plan.master_seed)
 
 
 def _ensemble_point(spec: EnsembleSpec, out_dir: Path,
-                    outcomes: Iterator | None = None) -> dict:
-    """Aggregate one ensemble into out_dir (from a sweep's shared stream
-    of outcomes if given); its map row."""
+                    outcomes: Iterator) -> dict:
+    """Aggregate one ensemble from the command's stream of outcomes into
+    out_dir; its map row."""
     summary, scalars = run_ensemble(spec, outcomes)
     io.write_ensemble_outputs(summary, scalars, out_dir)
     row = {"alpha": spec.scenario.derived.alpha}
@@ -189,7 +192,8 @@ def _run_sweep(plan: ExperimentPlan, out: Path, points: list[dict],
             specs[i] = _ensemble_spec(base.replace(**overrides), plan)
         except (ParameterError, GridError) as err:
             rows[i]["error"] = str(err)
-    with closing(realization_outcomes(list(specs.values()))) as outcomes:
+    with closing(realization_outcomes(list(specs.values()),
+                                      plan.workers)) as outcomes:
         for i, spec in specs.items():
             try:
                 rows[i].update(_ensemble_point(spec, out / f"point_{i:03d}",
@@ -242,7 +246,8 @@ def run_plan(plan: ExperimentPlan) -> Path:
                             for k in range(grid.n_nodes)])
 
     elif plan.kind == "ensemble":
-        _ensemble_point(spec, out)
+        with closing(realization_outcomes([spec], plan.workers)) as outcomes:
+            _ensemble_point(spec, out, outcomes)
 
     elif plan.kind == "sweep":
         points = [dict(zip(plan.axes, values))

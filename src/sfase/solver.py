@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,9 @@ def make_grid(scen: Scenario, nz: int | None = None,
     if nz is None:
         nz = max(1, int(math.ceil(scen.medium.L / (C_MM_PER_PS * dt_max)
                                   - 1.0e-9)))
-    if nz < 1:
-        raise GridError(f"nz must be >= 1, got {nz}")
+    if not 1 <= nz <= sys.float_info.max:
+        raise GridError(f"nz must be an integer from 1 to "
+                        f"{sys.float_info.max:.4g}, got {nz}")
     dz = scen.medium.L / nz
     dt = dz / C_MM_PER_PS
     if dt > dt_max * (1.0 + 1.0e-12):

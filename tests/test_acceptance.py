@@ -50,7 +50,7 @@ def _reductions(specs: list[EnsembleSpec]):
     `ensemble._reduce_one` returns, with rows (forward, backward).  A
     failed realization fails the fixture.
     """
-    with closing(realization_outcomes(specs)) as outcomes:
+    with closing(realization_outcomes(specs, FIXTURE_WORKERS)) as outcomes:
         for outcome in outcomes:
             if isinstance(outcome, SolverError):
                 raise outcome
@@ -62,7 +62,7 @@ def _ensembles(specs: list[EnsembleSpec]):
     stream of the production executor (a single pool runs the realizations
     of all specs).  A failed realization fails the fixture.
     """
-    with closing(realization_outcomes(specs)) as outcomes:
+    with closing(realization_outcomes(specs, FIXTURE_WORKERS)) as outcomes:
         results = [run_ensemble(spec, outcomes) for spec in specs]
     for summary, _ in results:
         assert summary.n_failed == 0
@@ -201,8 +201,7 @@ def alpha_scan(fig5):
     specs = [EnsembleSpec(
         scenario=fig5.replace(
             n=alpha / (fig5.transition.sigma_r * fig5.medium.L)),
-        grid=grid, n_realizations=N_SCAN, master_seed=7,
-        workers=FIXTURE_WORKERS) for alpha in ALPHAS]
+        grid=grid, n_realizations=N_SCAN, master_seed=7) for alpha in ALPHAS]
     summaries = [summary for summary, _ in _ensembles(specs)]
     # forward: row 0 of the averages, block 0 of the statistics
     peak_avg = [float(s.avg_intensity[0].max()) for s in summaries]
@@ -251,7 +250,7 @@ def asymmetry(fig5):
         scen = fig5.replace(L=length, n=n)
         specs[length] = EnsembleSpec(
             scenario=scen, grid=make_grid(scen), n_realizations=n_real,
-            master_seed=11, workers=FIXTURE_WORKERS)
+            master_seed=11)
     results = _reductions(list(specs.values()))
     out = {}
     for length, spec in specs.items():
@@ -311,8 +310,7 @@ def length_points(fig5):
     for label, length in (("c", 0.25), ("e", 0.5), ("g", 0.75)):
         scen = fig5.replace(L=length)
         specs[label] = EnsembleSpec(scenario=scen, grid=make_grid(scen),
-                                    n_realizations=12, master_seed=5,
-                                    workers=FIXTURE_WORKERS)
+                                    n_realizations=12, master_seed=5)
     results = _ensembles(list(specs.values()))
     out = {}
     for (label, spec), (summary, scalars) in zip(specs.items(), results):
@@ -394,13 +392,13 @@ def test_criterion_8_numerical_properties(toy, monkeypatch):
                   and np.array_equal(rec.omega_out[1], rec2.omega_out[1]))
 
     # worker-count independence of ensemble statistics
-    s1, _ = run_ensemble(EnsembleSpec(scenario=toy, grid=grid,
-                                      n_realizations=4, master_seed=99,
-                                      workers=1))
-    s2, _ = run_ensemble(EnsembleSpec(scenario=toy, grid=grid,
-                                      n_realizations=4, master_seed=99,
-                                      workers=2))
-    workers_ok = np.array_equal(s1.avg_intensity, s2.avg_intensity)
+    spec = EnsembleSpec(scenario=toy, grid=grid, n_realizations=4,
+                        master_seed=99)
+    averages = []
+    for workers in (1, 2):
+        with closing(realization_outcomes([spec], workers)) as outcomes:
+            averages.append(run_ensemble(spec, outcomes)[0].avg_intensity)
+    workers_ok = np.array_equal(*averages)
 
     checks = [
         ("trace<=1e-6", trace_ok),

@@ -189,6 +189,8 @@ def test_largest_seed_runs(tmp_path, toy_file):
 
 # toy grid too coarse for the scenario: dt = 0.1 ps against a 0.01 ps limit
 COARSE_NZ = 1
+# an integer too large for a float (JSON writes it as a plain integer)
+HUGE = 10**400
 # (command, flags, scenario keys replaced, what the error message names)
 BAD_SIZES = [
     *[(command, flags, overrides, field)
@@ -200,8 +202,10 @@ BAD_SIZES = [
           (["--grid-nz", "-3"], {}, "grid_nz"),
           (["--t-end", "0"], {}, "t_end_ps"),
           (["--t-end", "inf"], {}, "t_end_ps"),
+          (["--grid-nz", str(HUGE)], {}, "grid_nz"),
           ([], {"r_um": 0.0}, "medium.r"),
-          ([], {"L_mm": math.inf}, "L_mm")]],
+          ([], {"L_mm": math.inf}, "L_mm"),
+          ([], {"L_mm": HUGE}, "L_mm")]],
     ("run", ["--snapshots", "-1"], {}, "snapshot_stride"),
     ("run", ["--grid-nz", str(COARSE_NZ)], {}, "resolution limit"),
     ("ensemble", ["--grid-nz", str(COARSE_NZ)], {}, "resolution limit"),
@@ -210,13 +214,22 @@ BAD_SIZES = [
     ("sweep", ["--l-grid", "inf"], {}, "axes"),
     ("validate", ["--grid-nz", "0"], {}, "nz"),
     ("validate", ["--grid-nz", "-3"], {}, "nz"),
+    ("validate", ["--grid-nz", str(HUGE)], {}, "nz"),
     ("validate", [], {"r_um": 0.0}, "medium.r"),
     ("validate", [], {"L_mm": math.inf}, "L_mm"),
+    ("validate", [], {"L_mm": HUGE}, "L_mm"),
 ]
 
 
+def _bad_size_id(command, flags, overrides, field):
+    """command-field and the flags; HUGE reads "huge", and an override of
+    HUGE adds it (the other overrides differ in their field)."""
+    shown = "".join(flags) + ("huge" if HUGE in overrides.values() else "")
+    return f"{command}-{field}{shown.replace(str(HUGE), 'huge')}"
+
+
 @pytest.mark.parametrize("command, flags, overrides, field", BAD_SIZES,
-                         ids=[f"{c}-{f}{''.join(fl)}" for c, fl, _, f in BAD_SIZES])
+                         ids=[_bad_size_id(*case) for case in BAD_SIZES])
 def test_bad_count_or_size_is_config_error(tmp_path, toy_dict, capsys, command,
                                            flags, overrides, field):
     # checked before anything is written: no manifest, no output directory
@@ -247,6 +260,12 @@ def test_bad_count_or_size_is_config_error(tmp_path, toy_dict, capsys, command,
     ("sweep", "fixed_alpha", math.inf),
     pytest.param("sweep", "axes", {"L": [0.02, math.inf]}, id="sweep-axes-inf"),
     ("ensemble", "L_mm", math.inf),
+    pytest.param("ensemble", "t_end_ps", HUGE, id="ensemble-t_end_ps-huge"),
+    pytest.param("ensemble", "grid_nz", HUGE, id="ensemble-grid_nz-huge"),
+    pytest.param("sweep", "fixed_alpha", HUGE, id="sweep-fixed_alpha-huge"),
+    pytest.param("sweep", "axes", {"L": [0.02, HUGE]}, id="sweep-axes-huge"),
+    pytest.param("sweep_Tp", "tp_grid_fs", [HUGE], id="sweep_Tp-tp_grid_fs-huge"),
+    pytest.param("ensemble", "L_mm", HUGE, id="ensemble-L_mm-huge"),
 ])
 def test_bad_manifest_count_or_size_is_config_error(tmp_path, toy_dict, capsys,
                                                     kind, field, value):
@@ -262,7 +281,8 @@ def test_bad_manifest_count_or_size_is_config_error(tmp_path, toy_dict, capsys,
         del plan["axes"]
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"plan": plan}))
-    command = {"single": "run", "ensemble": "ensemble", "sweep": "sweep"}[kind]
+    command = {"single": "run", "ensemble": "ensemble", "sweep": "sweep",
+               "sweep_Tp": "sweep"}[kind]
     assert main([command, "--from-manifest", str(manifest)]) == EXIT_CONFIG
     assert field in capsys.readouterr().err
     assert not out.exists()

@@ -2,6 +2,7 @@
 import functools
 import math
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sfase.ensemble import (
     histogram,
     photon_bin_edges,
     pulse_area,
+    realization_outcomes,
     run_ensemble,
     spectrum,
 )
@@ -27,6 +29,12 @@ def _fake_record(t, omega_plus, omega_minus=None, jp=None):
         t=t, omega_out=np.array([omega_plus, np.zeros(n) if omega_minus is None
                                  else omega_minus], dtype=complex),
         jp_out=np.zeros(n) if jp is None else np.asarray(jp, dtype=float))
+
+
+def _ensemble(spec: EnsembleSpec, workers: int = 1):
+    """`run_ensemble` of spec, folded from a stream of its own."""
+    with closing(realization_outcomes([spec], workers)) as outcomes:
+        return run_ensemble(spec, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +132,8 @@ def test_photon_bin_edges_log_spaced():
 def toy_ensemble(toy):
     grid = make_grid(toy)
     spec = EnsembleSpec(scenario=toy, grid=grid, n_realizations=8,
-                        master_seed=21, workers=1)
-    return spec, run_ensemble(spec)
+                        master_seed=21)
+    return spec, _ensemble(spec)
 
 
 def test_ensemble_scalar_consistency(toy, toy_ensemble):
@@ -153,9 +161,7 @@ def test_ensemble_average_matches_reruns(toy, toy_ensemble):
 
 def test_ensemble_schedule_independence(toy, toy_ensemble):
     spec, (summary1, scalars1) = toy_ensemble
-    spec2 = EnsembleSpec(scenario=toy, grid=spec.grid, n_realizations=8,
-                         master_seed=21, workers=2)
-    summary2, scalars2 = run_ensemble(spec2)
+    summary2, scalars2 = _ensemble(spec, workers=2)
     # every statistic of both directions, bit for bit
     np.testing.assert_array_equal(summary1.avg_intensity,
                                   summary2.avg_intensity)
@@ -186,8 +192,6 @@ def test_ensemble_spec_validation(toy):
     grid = make_grid(toy)
     with pytest.raises(ValueError):
         EnsembleSpec(scenario=toy, grid=grid, n_realizations=0)
-    with pytest.raises(ValueError):
-        EnsembleSpec(scenario=toy, grid=grid, workers=0)
 
 
 class _TwoArgumentError(Exception):
@@ -214,23 +218,23 @@ def test_ensemble_failure_budget(toy, monkeypatch, workers):
     # at most 1% of realizations may fail; the pool's forked workers see
     # the patched run too
     spec = EnsembleSpec(scenario=toy, grid=make_grid(toy), n_realizations=100,
-                        master_seed=0, workers=workers)
+                        master_seed=0)
     monkeypatch.setattr(ensemble, "run", _run_failing_at({17}))
-    summary, scalars = run_ensemble(spec)
+    summary, scalars = _ensemble(spec, workers)
     assert summary.n_failed == 1
     assert summary.n_realizations == 99
     assert [s.index for s in scalars] == [i for i in range(100) if i != 17]
     monkeypatch.setattr(ensemble, "run", _run_failing_at({17, 63}))
     with pytest.raises(SolverError, match=r"^2/100 realizations failed: "
                        r"realization 17: injected; realization 63: injected$"):
-        run_ensemble(spec)
+        _ensemble(spec, workers)
     # any other exception is charged to its realization alone, also one
     # that a pool could not carry back to this process
     for error in (FloatingPointError,
                   functools.partial(_TwoArgumentError, where="in the pump")):
         monkeypatch.setattr(ensemble, "run",
                             _run_failing_at({42}, error=error))
-        summary, scalars = run_ensemble(spec)
+        summary, scalars = _ensemble(spec, workers)
         assert summary.n_failed == 1
         assert [s.index for s in scalars] == [i for i in range(100) if i != 42]
 
@@ -244,10 +248,10 @@ def test_ensemble_memory_flat_in_realizations(toy, monkeypatch):
 
     def peak(n):
         spec = EnsembleSpec(scenario=toy, grid=grid, n_realizations=n,
-                            master_seed=0, workers=1)
+                            master_seed=0)
         tracemalloc.start()
         try:
-            run_ensemble(spec)
+            _ensemble(spec)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

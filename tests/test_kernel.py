@@ -355,7 +355,7 @@ scen = scenario_from_dict(json.load(open(toy)))
 spec = EnsembleSpec(scenario=scen, grid=make_grid(scen), n_realizations=3,
                     master_seed=0)
 try:
-    next(realization_outcomes([spec]))
+    next(realization_outcomes([spec], 1))
     stream = "no error"
 except kernel.KernelError as err:
     stream = "KernelError"
